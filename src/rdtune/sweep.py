@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import tempfile
 import threading
 import time
@@ -142,7 +143,8 @@ class PointCache:
     """Content-addressed store of parsed RD points (never media).
 
     Backed by one JSON file per key under `root`, plus an in-memory layer;
-    with root=None the cache is memory-only.  Writes are serialized.
+    with root=None the cache is memory-only.  Writes are serialized and
+    atomic; an entry that cannot be read back is a miss.
     """
 
     def __init__(self, root: Path | None = None):
@@ -161,10 +163,11 @@ class PointCache:
                 return self._mem[key]
         if self.root is None:
             return None
-        path = self._path(key)
-        if not path.exists():
+        try:
+            point = RDPoint.from_dict(json.loads(self._path(key).read_text())["rdpoint"])
+        except (OSError, ValueError, KeyError, TypeError):
+            # Missing, unreadable or corrupt: a miss, which put() overwrites.
             return None
-        point = RDPoint.from_dict(json.loads(path.read_text())["rdpoint"])
         with self._lock:
             self._mem[key] = point
         return point
@@ -174,7 +177,9 @@ class PointCache:
             self._mem[key] = point
             if self.root is None:
                 return
-            tmp = self._path(key).with_suffix(".tmp")
+            # Unique per process and thread, so writers sharing the dir never
+            # rename each other's half-written file.
+            tmp = self.root / f"{key}.{os.getpid()}.{threading.get_ident()}.tmp"
             tmp.write_text(json.dumps({"cache_key": key, "rdpoint": point.to_dict()}, sort_keys=True))
             tmp.replace(self._path(key))
 
@@ -203,12 +208,20 @@ class RunLedger:
 
     @staticmethod
     def load(path: Path | str) -> list[dict]:
+        """Parse every record.  A last line with no trailing newline that
+        does not parse is an append cut short by a crash and is skipped; a
+        corrupt line anywhere else raises."""
         out = []
         with Path(path).open() as fh:
             for line in fh:
-                line = line.strip()
-                if line:
+                if not line.strip():
+                    continue
+                try:
                     out.append(json.loads(line))
+                except json.JSONDecodeError:
+                    # Only the last line can lack its newline.
+                    if line.endswith("\n"):
+                        raise
         return out
 
 
@@ -635,7 +648,8 @@ def curves_from_ledger(records: list[dict]) -> list[RDCurve]:
     """Rebuild all complete RD curves recorded in a ledger.
 
     Records are deduplicated by cache_key (last wins), then grouped by
-    (clip, codec, k, group, scope).
+    (clip, codec, k quantized to 1e-6, group, scope); a curve takes the k
+    of its group's first record.
     """
     latest: dict[str, dict] = {}
     order: list[str] = []
@@ -645,10 +659,10 @@ def curves_from_ledger(records: list[dict]) -> list[RDCurve]:
             order.append(key)
         latest[key] = rec
 
-    groups: dict[tuple, dict[int, RDPoint]] = {}
+    groups: dict[tuple, tuple[float, dict[int, RDPoint]]] = {}
     for key in order:
         rec = latest[key]
-        ident = (rec["clip"], rec["codec"], _quantize_k(rec["k"]), rec["group"], rec["scope"], rec["k"])
+        ident = (rec["clip"], rec["codec"], _quantize_k(rec["k"]), rec["group"], rec["scope"])
         point = RDPoint(
             qp=int(rec["qp"]),
             bitrate_kbps=float(rec["bitrate_kbps"]),
@@ -656,17 +670,17 @@ def curves_from_ledger(records: list[dict]) -> list[RDCurve]:
             msssim_db=float(rec["msssim_db"]),
             vmaf=None if rec.get("vmaf") is None else float(rec["vmaf"]),
         )
-        groups.setdefault(ident, {})[point.qp] = point
+        groups.setdefault(ident, (float(rec["k"]), {}))[1][point.qp] = point
 
     curves = []
-    for (clip, codec, _kq, group, scope, k), by_qp in groups.items():
+    for (clip, codec, _kq, group, scope), (k, by_qp) in groups.items():
         if len(by_qp) < 2:
             continue
         curves.append(
             RDCurve(
                 clip_id=clip,
                 codec=CodecId.parse(codec),
-                k=float(k),
+                k=k,
                 group=FrameTypeGroup.parse(group),
                 scope=LambdaScope.parse(scope),
                 points=tuple(by_qp[qp] for qp in sorted(by_qp)),

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids importing rdtune: the synthetic-model
 surfaces are restated from their closed forms, interpolation goes through
-scipy, BD integrals through dense trapezoid sums, and the scalar
-minimizer is a plain golden-section loop.
+scipy, BD integrals through dense trapezoid sums or scipy's exact
+piecewise-polynomial integral, and the scalar minimizer is a plain
+golden-section loop.
 
 Frozen constants below were produced by `python tests/oracles.py` and are
 asserted against at run time by the test suite.
@@ -73,6 +74,29 @@ def bd_quality_dense(ref_log_rate, ref_quality, test_log_rate, test_quality, n=1
         ref_log_rate, ref_quality
     )(xs)
     return np.trapezoid(diff, xs) / (hi - lo)
+
+
+def _exact_mean_difference(ref_x, ref_y, test_x, test_y) -> float:
+    """Mean of (test - ref) PCHIP fits over the shared x span, integrated
+    exactly by scipy's piecewise-polynomial antiderivative."""
+    lo = max(np.min(ref_x), np.min(test_x))
+    hi = min(np.max(ref_x), np.max(test_x))
+    if lo >= hi:
+        raise ValueError("no overlap")
+    test_area = PchipInterpolator(test_x, test_y).integrate(lo, hi)
+    ref_area = PchipInterpolator(ref_x, ref_y).integrate(lo, hi)
+    return float(test_area - ref_area) / (hi - lo)
+
+
+def bd_rate_exact(ref_quality, ref_log_rate, test_quality, test_log_rate):
+    """BD-Rate via scipy PCHIP and its exact integral."""
+    delta = _exact_mean_difference(ref_quality, ref_log_rate, test_quality, test_log_rate)
+    return (10.0 ** delta - 1.0) * 100.0
+
+
+def bd_quality_exact(ref_log_rate, ref_quality, test_log_rate, test_quality):
+    """BD-quality (dB) via scipy PCHIP and its exact integral."""
+    return _exact_mean_difference(ref_log_rate, ref_quality, test_log_rate, test_quality)
 
 
 def cost_dense(k: float, ladder=AV1_LADDER, **overrides) -> float:

@@ -239,6 +239,63 @@ class TestBdRate:
             bd_rate(a, b)
 
 
+def _strictly_inside_a_piece(value, knots):
+    return knots[0] < value < knots[-1] and not np.any(np.isclose(knots, value, rtol=0.0, atol=1e-12))
+
+
+def _exactness_cases():
+    """(ref, test) (quality_db, log10_rate) array pairs: the FIVE_* curve
+    against reshaped copies, and seeded synthetic (k=1, k) pairs over a
+    harsh c / k_star grid, whose quality shift puts the overlap ends
+    inside a piece of the other fit."""
+    five = (np.array(FIVE_DB), np.log10(FIVE_RATE))
+    reshaped = [
+        (five[0], five[1] + np.log10(0.75)),
+        (five[0], five[1] + np.log10([0.5, 0.6, 0.7, 0.8, 0.9])),
+        (five[0] + 0.7, five[1]),
+        (np.array([10.3, 13.1, 15.9, 18.2, 21.5]), np.log10([380.0, 900.0, 1700.0, 4700.0, 10200.0])),
+        (np.array([9.1, 11.0, 14.2, 16.0, 19.5, 23.3]), np.log10([350.0, 610.0, 1500.0, 2600.0, 6400.0, 15000.0])),
+    ]
+    cases = [(five, test) for test in reshaped]
+    rng = np.random.default_rng(71)
+    for c in (0.8, 2.0, 4.0, 8.0):
+        for k_star in (2.5, 6.0, 10.0):
+            ref = oracles.synth_arrays(1.0, c=c, k_star=k_star)
+            for k in np.exp(rng.uniform(-2.7, 2.7, 4)):
+                test = oracles.synth_arrays(float(k), c=c, k_star=k_star)
+                if ref is not None and test is not None:
+                    cases.append((ref, test))
+    return cases
+
+
+class TestExactIntegral:
+    """bd_rate and bd_quality integrate the piecewise cubics exactly, so
+    they match scipy's exact PCHIP integral to rounding, far inside the
+    dense oracle's 1e-4."""
+
+    @pytest.mark.parametrize(
+        "metric, oracle, axis",
+        [(bd_rate, oracles.bd_rate_exact, 0), (bd_quality, oracles.bd_quality_exact, 1)],
+        ids=["bd_rate", "bd_quality"],
+    )
+    def test_matches_exact_oracle(self, metric, oracle, axis):
+        inside = 0
+        checked = 0
+        for ref, test in _exactness_cases():
+            xa, xb = ref[axis], test[axis]
+            lo, hi = max(xa[0], xb[0]), min(xa[-1], xb[-1])
+            if lo >= hi:
+                continue
+            mine = metric(curve_from_arrays(*ref), curve_from_arrays(*test, k=2.0))
+            expected = oracle(ref[axis], ref[1 - axis], test[axis], test[1 - axis])
+            assert mine == pytest.approx(expected, rel=1e-9)
+            checked += 1
+            inside += _strictly_inside_a_piece(lo, xb if lo == xa[0] else xa)
+            inside += _strictly_inside_a_piece(hi, xb if hi == xa[-1] else xa)
+        assert checked >= 30
+        assert inside >= 30
+
+
 class TestMatchedSavings:
     def test_identity(self):
         c = make_curve(FIVE_QP, FIVE_RATE, FIVE_DB)

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 
 import pytest
 
@@ -136,6 +138,71 @@ class TestPointCache:
         PointCache(tmp_path).put("k1", point)
         assert PointCache(tmp_path).get("k1") == point
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"cache_key": "x", "rdpo',
+            b"\xff\xfe\x00",
+            b"[]",
+            b"{}",
+            b'{"rdpoint": {"qp": 27, "bitrate_kbps": -1.0, "msssim": 0.9, "msssim_db": 10.0}}',
+        ],
+    )
+    def test_corrupt_entry_is_a_miss_and_overwritten(self, tmp_path, content):
+        config = av1_config(cache_dir=tmp_path)
+        cold = run_sweep("clip", 1.0, config, synthetic_backend())
+        entry = sorted(tmp_path.glob("*.json"))[0]
+        entry.write_bytes(content)
+
+        backend = synthetic_backend()
+        assert run_sweep("clip", 1.0, config, backend) == cold
+        assert backend.invocations == 1
+        stored = json.loads(entry.read_text())
+        assert stored["cache_key"] == entry.stem
+        assert PointCache(tmp_path).get(entry.stem) in cold.points
+
+    def test_put_does_not_share_a_temp_name(self, tmp_path):
+        from rdtune.rd_curve import RDPoint
+
+        # Another writer's temp file occupying the shared name cannot stop
+        # this one.
+        (tmp_path / "k1.tmp").mkdir()
+        point = RDPoint.from_score(qp=39, bitrate_kbps=100.0, msssim=0.9)
+        PointCache(tmp_path).put("k1", point)
+        assert PointCache(tmp_path).get("k1") == point
+
+    def test_writers_sharing_a_dir_never_clobber(self, tmp_path):
+        from rdtune.rd_curve import RDPoint
+
+        # Separate instances stand in for separate processes: no lock is
+        # shared between them.
+        points = [RDPoint.from_score(qp=q, bitrate_kbps=100.0 + q, msssim=0.9) for q in range(20)]
+        errors: list[BaseException] = []
+
+        def writer():
+            cache = PointCache(tmp_path)
+            try:
+                for _ in range(10):
+                    for i, point in enumerate(points):
+                        cache.put(f"k{i}", point)
+            except BaseException as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        fresh = PointCache(tmp_path)
+        assert [fresh.get(f"k{i}") for i in range(len(points))] == points
+
 
 class TestRunSweep:
     def test_cold_sweep_invokes_n(self, tmp_path):
@@ -190,6 +257,41 @@ class TestRunSweep:
         a = run_sweep("clip", 1.5, av1_config(cache_dir=tmp_path / "a", workers=1), synthetic_backend())
         b = run_sweep("clip", 1.5, av1_config(cache_dir=tmp_path / "b", workers=5), synthetic_backend())
         assert a == b
+
+
+class TestRunLedger:
+    def _two_records(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        ledger = RunLedger(path)
+        ledger.append({"cache_key": "a", "qp": 27})
+        ledger.append({"cache_key": "b", "qp": 39})
+        return path
+
+    def test_torn_tail_is_skipped(self, tmp_path):
+        path = self._two_records(tmp_path)
+        with path.open("a") as fh:
+            fh.write('{"cache_key": "c", "q')
+        assert [r["cache_key"] for r in RunLedger.load(path)] == ["a", "b"]
+
+    def test_unterminated_tail_that_parses_is_kept(self, tmp_path):
+        path = self._two_records(tmp_path)
+        with path.open("a") as fh:
+            fh.write('{"cache_key": "c"}')
+        assert [r["cache_key"] for r in RunLedger.load(path)] == ["a", "b", "c"]
+
+    def test_corrupt_middle_line_raises(self, tmp_path):
+        path = self._two_records(tmp_path)
+        with path.open("a") as fh:
+            fh.write('{"cache_key": "c", "q\n{"cache_key": "d"}\n')
+        with pytest.raises(json.JSONDecodeError):
+            RunLedger.load(path)
+
+    def test_corrupt_terminated_last_line_raises(self, tmp_path):
+        path = self._two_records(tmp_path)
+        with path.open("a") as fh:
+            fh.write('{"cache_key": "c", "q\n')
+        with pytest.raises(json.JSONDecodeError):
+            RunLedger.load(path)
 
 
 class TestEvaluateCost:
@@ -371,6 +473,15 @@ class TestLedgerReplay:
         trial_ks = {r["k"] for r in records if r["k"] != 1.0}
         assert result.iterations == len(trial_ks)
         assert result.total_invocations == 5 * len(fresh_ks)
+
+    def test_k_below_quantum_keeps_one_curve(self, tmp_path):
+        run_sweep("clip", 2.0, av1_config(cache_dir=tmp_path), synthetic_backend())
+        records = RunLedger.load(tmp_path / "ledger.jsonl")
+        records[2]["k"] += 2e-7
+        curves = curves_from_ledger(records)
+        assert len(curves) == 1
+        assert len(curves[0].points) == 5
+        assert curves[0].k == 2.0
 
     def test_dedupe_last_record_wins(self, tmp_path):
         config = av1_config(cache_dir=tmp_path)
