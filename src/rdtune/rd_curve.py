@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -119,6 +120,13 @@ class RDPoint:
                    vmaf=None if d.get("vmaf") is None else float(d["vmaf"]))
 
 
+def _shared_fit(x: np.ndarray, y: np.ndarray) -> PchipInterpolant:
+    fit = pchip_fit(np.column_stack([x, y]))
+    for array in (fit.x, fit.y, fit.slopes):
+        array.flags.writeable = False
+    return fit
+
+
 @dataclass(frozen=True)
 class RDCurve:
     """Measurements for one (clip, k, group, scope), sorted by ascending quality.
@@ -176,13 +184,23 @@ class RDCurve:
                 return p
         raise MissingPointError(f"qp {qp} not present in curve for clip {self.clip_id!r}")
 
+    # A curve is immutable, so each fit is made once (the k=1 reference is
+    # the same curve for every trial of a clip) and shared read-only.
+    @cached_property
+    def _rate_fit(self) -> PchipInterpolant:
+        return _shared_fit(self.qualities_db, self.log10_rates)
+
+    @cached_property
+    def _quality_fit(self) -> PchipInterpolant:
+        return _shared_fit(self.log10_rates, self.qualities_db)
+
     def rate_fit(self) -> PchipInterpolant:
         """Monotone fit of quality (dB) -> log10 bitrate."""
-        return pchip_fit(np.column_stack([self.qualities_db, self.log10_rates]))
+        return self._rate_fit
 
     def quality_fit(self) -> PchipInterpolant:
         """Monotone fit of log10 bitrate -> quality (dB)."""
-        return pchip_fit(np.column_stack([self.log10_rates, self.qualities_db]))
+        return self._quality_fit
 
     def to_dict(self) -> dict:
         return {

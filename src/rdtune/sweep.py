@@ -2,10 +2,13 @@
 per-clip search for the best scale factor.
 
 Cost of one k trial is the BD-Rate of its curve against the k=1 reference
-curve, so each trial costs one full QP-ladder sweep (N encodes).  Points
-are cached content-addressed and every completed encode (fresh or cached)
-is appended to a JSON Lines run ledger, which is sufficient to recompute
-every derived statistic.
+curve, so each trial costs one full QP-ladder sweep (N encodes).  Every
+completed encode (fresh or cached) is appended to a JSON Lines run ledger,
+which is sufficient to recompute every derived statistic and is the one
+persistent store of RD points: PointCache indexes it by content-addressed
+cache key, so a warm re-run, or another process sharing the cache dir,
+re-encodes nothing.  All sweeps of one optimize_clip or run_sweep call
+share one encode pool of config.workers threads.
 
 The search runs bracketing plus Brent over log k by default.  k-hat is
 the best evaluated trial including the k=1 baseline, so no clip can
@@ -14,6 +17,7 @@ regress: reported bd_rate is always <= 0.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import math
@@ -21,7 +25,9 @@ import os
 import tempfile
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor, as_completed
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Protocol
@@ -139,72 +145,82 @@ class SweepConfig:
         return self.qp_ladder[1] if len(self.qp_ladder) > 1 else self.qp_ladder[0]
 
 
-class PointCache:
-    """Content-addressed store of parsed RD points (never media).
-
-    Backed by one JSON file per key under `root`, plus an in-memory layer;
-    with root=None the cache is memory-only.  Writes are serialized and
-    atomic; an entry that cannot be read back is a miss.
-    """
-
-    def __init__(self, root: Path | None = None):
-        self.root = Path(root) if root is not None else None
-        if self.root is not None:
-            self.root.mkdir(parents=True, exist_ok=True)
-        self._mem: dict[str, RDPoint] = {}
-        self._lock = threading.Lock()
-
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
-
-    def get(self, key: str) -> RDPoint | None:
-        with self._lock:
-            if key in self._mem:
-                return self._mem[key]
-        if self.root is None:
-            return None
-        try:
-            point = RDPoint.from_dict(json.loads(self._path(key).read_text())["rdpoint"])
-        except (OSError, ValueError, KeyError, TypeError):
-            # Missing, unreadable or corrupt: a miss, which put() overwrites.
-            return None
-        with self._lock:
-            self._mem[key] = point
-        return point
-
-    def put(self, key: str, point: RDPoint) -> None:
-        with self._lock:
-            self._mem[key] = point
-            if self.root is None:
-                return
-            # Unique per process and thread, so writers sharing the dir never
-            # rename each other's half-written file.
-            tmp = self.root / f"{key}.{os.getpid()}.{threading.get_ident()}.tmp"
-            tmp.write_text(json.dumps({"cache_key": key, "rdpoint": point.to_dict()}, sort_keys=True))
-            tmp.replace(self._path(key))
-
-
 class RunLedger:
-    """Append-only JSON Lines record of every completed encode."""
+    """Append-only JSON Lines record of every completed encode, and the one
+    persistent store of RD points (PointCache is its in-memory index).
+
+    The file is opened once with O_APPEND, and each record is written with
+    one os.write while an exclusive flock is held, so writers in any number
+    of processes never interleave or lose a line.  A last line with no
+    newline is an append cut short by a crash: under the same lock, opening
+    and every append first end the file on a newline, cutting that line off
+    unless it parses.  With path=None records go nowhere.
+    """
 
     def __init__(self, path: Path | None = None):
         self.path = Path(path) if path is not None else None
+        self._fd: int | None = None
+        self._pid = os.getpid()
+        self._lock = threading.Lock()
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._records: list[dict] = []
-        self._lock = threading.Lock()
+            self._fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
+            weakref.finalize(self, os.close, self._fd)
+            with self._locked():
+                self._end_on_newline()
+
+    @contextmanager
+    def _locked(self):
+        with self._lock:
+            fcntl.flock(self._fd, fcntl.LOCK_EX)
+            try:
+                yield
+            finally:
+                fcntl.flock(self._fd, fcntl.LOCK_UN)
+
+    def _end_on_newline(self) -> None:
+        """Terminate an unterminated last line that parses; cut off one that
+        does not.  The caller holds the lock, so no append is in flight."""
+        end = os.fstat(self._fd).st_size
+        if end == 0 or os.pread(self._fd, 1, end - 1) == b"\n":
+            return
+        data = os.pread(self._fd, end, 0)
+        start = data.rfind(b"\n") + 1
+        try:
+            json.loads(data[start:])
+        except ValueError:
+            os.ftruncate(self._fd, start)
+        else:
+            os.write(self._fd, b"\n")
 
     def append(self, record: dict) -> None:
-        with self._lock:
-            self._records.append(record)
-            if self.path is not None:
-                with self.path.open("a") as fh:
-                    fh.write(json.dumps(record, sort_keys=True) + "\n")
+        if self._fd is None:
+            return
+        data = (json.dumps(record, sort_keys=True) + "\n").encode()
+        with self._locked():
+            self._end_on_newline()
+            while data:
+                data = data[os.write(self._fd, data):]
 
-    @property
-    def records(self) -> list[dict]:
-        with self._lock:
-            return list(self._records)
+    def _read_from(self, offset: int) -> bytes:
+        """The complete lines written at or after byte `offset`, by any writer."""
+        if self._fd is None:
+            return b""
+        end = os.fstat(self._fd).st_size
+        data = os.pread(self._fd, end - offset, offset) if end > offset else b""
+        return data[: data.rfind(b"\n") + 1]
+
+    def _is_current(self) -> bool:
+        """The path still names the file this ledger has open, and this is
+        the process that opened it (a forked child shares the open file, and
+        with it the flock)."""
+        try:
+            named = os.stat(self.path)
+        except FileNotFoundError:
+            return False
+        held = os.fstat(self._fd)
+        same_file = (named.st_dev, named.st_ino) == (held.st_dev, held.st_ino)
+        return same_file and self._pid == os.getpid()
 
     @staticmethod
     def load(path: Path | str) -> list[dict]:
@@ -223,6 +239,86 @@ class RunLedger:
                     if line.endswith("\n"):
                         raise
         return out
+
+
+def _record_point(rec: dict) -> RDPoint:
+    return RDPoint(
+        qp=int(rec["qp"]),
+        bitrate_kbps=float(rec["bitrate_kbps"]),
+        msssim=float(rec["msssim"]),
+        msssim_db=float(rec["msssim_db"]),
+        vmaf=None if rec.get("vmaf") is None else float(rec["vmaf"]),
+    )
+
+
+class PointCache:
+    """In-memory index cache_key -> RDPoint over a RunLedger.
+
+    put() writes to memory only: the ledger record the sweep appends right
+    after it is what persists the point.  On a miss, get() first indexes
+    the complete lines appended to the ledger since its last read, by this
+    or any other process, then looks again.  A line that does not parse or
+    does not make a valid RDPoint is skipped, so its point is a miss and is
+    re-encoded.  With no ledger (or one with no path) it is memory-only.
+    """
+
+    def __init__(self, ledger: RunLedger | None = None):
+        self.ledger = ledger if ledger is not None else RunLedger(None)
+        self._mem: dict[str, RDPoint] = {}
+        self._read_to = 0
+        self._lock = threading.Lock()
+
+    def get(self, key: str) -> RDPoint | None:
+        with self._lock:
+            point = self._mem.get(key)
+            if point is None:
+                data = self.ledger._read_from(self._read_to)
+                self._read_to += len(data)
+                self._index(data)
+                point = self._mem.get(key)
+            return point
+
+    def _index(self, data: bytes) -> None:
+        for line in data.splitlines():
+            try:
+                rec = json.loads(line)
+                if rec["cache_key"] not in self._mem:
+                    self._mem[rec["cache_key"]] = _record_point(rec)
+            except (ValueError, KeyError, TypeError):
+                continue  # unreadable: a miss, re-encoded and appended anew
+
+    def put(self, key: str, point: RDPoint) -> None:
+        with self._lock:
+            self._mem[key] = point
+
+
+# The store of the last cache dir used without an explicit store.  The CLI
+# and batch scripts call optimize_clip once per clip; keeping the store
+# open means the ledger is parsed once in all, not once per clip.
+_open_store: PointCache | None = None
+_open_store_lock = threading.Lock()
+
+
+def _default_store(cache_dir: Path | None) -> PointCache:
+    """The kept store for cache_dir, replaced when the dir changes or its
+    ledger is no longer the open file; memory-only without a cache dir."""
+    global _open_store
+    if cache_dir is None:
+        return PointCache()
+    path = cache_dir / "ledger.jsonl"
+    with _open_store_lock:
+        store = _open_store
+        if store is None or store.ledger.path != path or not store.ledger._is_current():
+            store = _open_store = PointCache(RunLedger(path))
+        return store
+
+
+def _stores(
+    config: SweepConfig, cache: PointCache | None, ledger: RunLedger | None
+) -> tuple[PointCache, RunLedger]:
+    if cache is None:
+        cache = PointCache(ledger) if ledger is not None else _default_store(config.cache_dir)
+    return cache, ledger if ledger is not None else cache.ledger
 
 
 def cache_key(job: EncodeJob, template_digest: str, clip_digest: str) -> str:
@@ -264,9 +360,13 @@ def _ledger_record(
 
 
 def _work_root(config: SweepConfig) -> Path:
+    """Encoder scratch space private to this process, so processes encoding
+    the same key never write the same output or report file."""
     if config.cache_dir is not None:
-        return config.cache_dir / "work"
-    return Path(tempfile.gettempdir()) / "rdtune-work"
+        base = config.cache_dir / "work"
+    else:
+        base = Path(tempfile.gettempdir()) / "rdtune-work"
+    return base / str(os.getpid())
 
 
 def _sweep(
@@ -276,8 +376,10 @@ def _sweep(
     backend: EncoderBackend,
     cache: PointCache,
     ledger: RunLedger,
+    pool: ThreadPoolExecutor,
 ) -> tuple[RDCurve, int]:
-    """Measure the full ladder for one (clip, k); returns (curve, fresh_encodes)."""
+    """Measure the full ladder for one (clip, k), encoding cache misses on
+    `pool`; returns (curve, fresh_encodes)."""
     template_digest = backend.template_digest()
     clip_digest = backend.clip_digest(clip_id)
     work_root = _work_root(config)
@@ -311,18 +413,17 @@ def _sweep(
             point = backend.measure(job)
             return point, time.perf_counter() - start
 
-        with ThreadPoolExecutor(max_workers=min(config.workers, len(pending))) as pool:
-            futures = {pool.submit(run_one, job): (qp, job, key) for qp, job, key in pending}
-            for fut in as_completed(futures):
-                qp, job, key = futures[fut]
-                try:
-                    point, seconds = fut.result()
-                except Exception as exc:  # partial results stay cached
-                    failures.append((qp, exc))
-                    continue
-                cache.put(key, point)
-                points[qp] = point
-                ledger.append(_ledger_record(key, job, point, seconds, cached=False))
+        futures = {pool.submit(run_one, job): (qp, job, key) for qp, job, key in pending}
+        for fut in as_completed(futures):
+            qp, job, key = futures[fut]
+            try:
+                point, seconds = fut.result()
+            except Exception as exc:  # partial results stay cached
+                failures.append((qp, exc))
+                continue
+            cache.put(key, point)
+            points[qp] = point
+            ledger.append(_ledger_record(key, job, point, seconds, cached=False))
 
     if failures:
         failures.sort(key=lambda f: f[0])
@@ -341,17 +442,6 @@ def _sweep(
     return curve, len(pending)
 
 
-def _cache_for(config: SweepConfig, cache: PointCache | None) -> PointCache:
-    return cache if cache is not None else PointCache(config.cache_dir)
-
-
-def _ledger_for(config: SweepConfig, ledger: RunLedger | None) -> RunLedger:
-    if ledger is not None:
-        return ledger
-    path = config.cache_dir / "ledger.jsonl" if config.cache_dir is not None else None
-    return RunLedger(path)
-
-
 def run_sweep(
     clip_id: str,
     k: float,
@@ -361,8 +451,14 @@ def run_sweep(
     ledger: RunLedger | None = None,
 ) -> RDCurve:
     """RD curve over the full ladder for one (clip, k), using up to
-    config.workers concurrent encodes and consulting the cache first."""
-    curve, _ = _sweep(clip_id, k, config, backend, _cache_for(config, cache), _ledger_for(config, ledger))
+    config.workers concurrent encodes and consulting the cache first.
+
+    Without a cache the store of config.cache_dir is used (memory-only when
+    that is None); a ledger given without a cache gets a fresh index.
+    """
+    cache, ledger = _stores(config, cache, ledger)
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        curve, _ = _sweep(clip_id, k, config, backend, cache, ledger, pool)
     return curve
 
 
@@ -401,17 +497,20 @@ def evaluate_cost(
     backend: EncoderBackend,
     cache: PointCache | None = None,
     ledger: RunLedger | None = None,
+    *,
+    pool: ThreadPoolExecutor | None = None,
 ) -> TrialRecord:
     """BD-Rate of the k-curve against the k=1 reference curve.
 
     k=1 short-circuits to cost 0 with zero invocations; the reference
-    curve already exists by precondition.
+    curve already exists by precondition.  Encodes run on `pool`, or on a
+    pool of config.workers threads opened for this call.
     """
     if _quantize_k(k) == _quantize_k(1.0):
         return TrialRecord(k=1.0, curve=reference_curve, cost=0.0, encoder_invocations=0)
-    curve, fresh = _sweep(
-        clip_id, k, config, backend, _cache_for(config, cache), _ledger_for(config, ledger)
-    )
+    cache, ledger = _stores(config, cache, ledger)
+    with nullcontext(pool) if pool is not None else ThreadPoolExecutor(config.workers) as pool:
+        curve, fresh = _sweep(clip_id, k, config, backend, cache, ledger, pool)
     cost = bd_rate(reference_curve, curve, min_points=config.min_curve_points)
     return TrialRecord(k=k, curve=curve, cost=cost, encoder_invocations=fresh)
 
@@ -497,13 +596,14 @@ class _CostObjective:
     the optimization via _TrialFailure.
     """
 
-    def __init__(self, clip_id, config, backend, reference, cache, ledger, log_domain: bool):
+    def __init__(self, clip_id, config, backend, reference, cache, ledger, pool, log_domain: bool):
         self.clip_id = clip_id
         self.config = config
         self.backend = backend
         self.reference = reference
         self.cache = cache
         self.ledger = ledger
+        self.pool = pool
         self.log_domain = log_domain
         self.trials: list[TrialRecord] = []
         self._memo: dict[int, float] = {}
@@ -515,12 +615,14 @@ class _CostObjective:
         k = math.exp(coord) if self.log_domain else coord
         try:
             trial = evaluate_cost(
-                self.clip_id, k, self.reference, self.config, self.backend, self.cache, self.ledger
+                self.clip_id, k, self.reference, self.config, self.backend, self.cache,
+                self.ledger, pool=self.pool,
             )
         except RdtuneError:
             try:
                 trial = evaluate_cost(
-                    self.clip_id, k, self.reference, self.config, self.backend, self.cache, self.ledger
+                    self.clip_id, k, self.reference, self.config, self.backend, self.cache,
+                    self.ledger, pool=self.pool,
                 )
             except RdtuneError as exc:
                 raise _TrialFailure(f"trial k={k:.6f} failed twice: {exc}") from exc
@@ -547,32 +649,35 @@ def optimize_clip(
     twice-failed trial the result degenerates to k-hat=1, flagged
     improved=False.  A failed reference sweep is retried once (completed
     points are already cached) and then propagates, since no result can
-    be reported without the k=1 curve.
+    be reported without the k=1 curve.  Every sweep of the call runs its
+    encodes on one pool of config.workers threads; the store is chosen as
+    in run_sweep.
     """
-    cache = _cache_for(config, cache)
-    ledger = _ledger_for(config, ledger)
-    try:
-        reference, _ = _sweep(clip_id, 1.0, config, backend, cache, ledger)
-    except RdtuneError:
-        reference, _ = _sweep(clip_id, 1.0, config, backend, cache, ledger)
-
+    cache, ledger = _stores(config, cache, ledger)
     log_domain = optimizer.search_domain is SearchDomain.LOGARITHMIC
     to_coord = math.log if log_domain else (lambda v: v)
-    objective = _CostObjective(clip_id, config, backend, reference, cache, ledger, log_domain)
-
     degenerate = False
-    try:
-        bracket = bracket_minimum(
-            objective,
-            to_coord(k_seeds[0]),
-            to_coord(k_seeds[1]),
-            max_expansions=32,
-            lo=to_coord(k_bounds[0]),
-            hi=to_coord(k_bounds[1]),
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        try:
+            reference, _ = _sweep(clip_id, 1.0, config, backend, cache, ledger, pool)
+        except RdtuneError:
+            reference, _ = _sweep(clip_id, 1.0, config, backend, cache, ledger, pool)
+
+        objective = _CostObjective(
+            clip_id, config, backend, reference, cache, ledger, pool, log_domain
         )
-        brent_minimize(objective, bracket, optimizer)
-    except (BracketError, _TrialFailure):
-        degenerate = True
+        try:
+            bracket = bracket_minimum(
+                objective,
+                to_coord(k_seeds[0]),
+                to_coord(k_seeds[1]),
+                max_expansions=32,
+                lo=to_coord(k_bounds[0]),
+                hi=to_coord(k_bounds[1]),
+            )
+            brent_minimize(objective, bracket, optimizer)
+        except (BracketError, _TrialFailure):
+            degenerate = True
 
     trials = list(objective.trials)
     baseline = TrialRecord(k=1.0, curve=reference, cost=0.0, encoder_invocations=0)
@@ -663,13 +768,7 @@ def curves_from_ledger(records: list[dict]) -> list[RDCurve]:
     for key in order:
         rec = latest[key]
         ident = (rec["clip"], rec["codec"], _quantize_k(rec["k"]), rec["group"], rec["scope"])
-        point = RDPoint(
-            qp=int(rec["qp"]),
-            bitrate_kbps=float(rec["bitrate_kbps"]),
-            msssim=float(rec["msssim"]),
-            msssim_db=float(rec["msssim_db"]),
-            vmaf=None if rec.get("vmaf") is None else float(rec["vmaf"]),
-        )
+        point = _record_point(rec)
         groups.setdefault(ident, (float(rec["k"]), {}))[1][point.qp] = point
 
     curves = []

@@ -145,6 +145,35 @@ class TestRDCurve:
         c = make_curve(FIVE_QP, FIVE_RATE, FIVE_DB, k=2.5)
         assert RDCurve.from_dict(c.to_dict()) == c
 
+    def test_fits_made_once_and_shared_read_only(self, monkeypatch):
+        import rdtune.rd_curve as rd_curve
+        from rdtune.pchip import pchip_fit
+
+        fits = []
+
+        def counting(points):
+            fits.append(1)
+            return pchip_fit(points)
+
+        monkeypatch.setattr(rd_curve, "pchip_fit", counting)
+        reference = make_curve(FIVE_QP, FIVE_RATE, FIVE_DB)
+        tests = [
+            make_curve(FIVE_QP, [r * f for r in FIVE_RATE], FIVE_DB, k=f) for f in (0.9, 0.95)
+        ]
+        first = [bd_rate(reference, t) for t in tests]
+        assert len(fits) == 3  # one reference fit, one per test curve
+        assert [bd_rate(reference, t) for t in tests] == first
+        assert len(fits) == 3
+
+        fresh = pchip_fit(np.column_stack([reference.qualities_db, reference.log10_rates]))
+        for name in ("x", "y", "slopes"):
+            cached = getattr(reference.rate_fit(), name)
+            assert np.array_equal(cached, getattr(fresh, name))
+            with pytest.raises(ValueError):
+                cached[0] = 0.0
+        assert reference.quality_fit() is reference.quality_fit()
+        assert RDCurve.from_dict(reference.to_dict()) == reference
+
 
 class TestOverlap:
     def test_interval_is_max_min(self):

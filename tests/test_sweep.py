@@ -1,10 +1,19 @@
+import gc
 import json
 import math
+import multiprocessing
+import os
+import shutil
 import sys
+import tempfile
 import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
+from rdtune import sweep
 from rdtune.encoder_bridge import EncodeJob, SyntheticClipModel, SyntheticEncoder
 from rdtune.errors import SweepError
 from rdtune.lambda_model import CodecId, FrameTypeGroup, LambdaScope
@@ -121,6 +130,22 @@ class TestCacheKey:
         assert cache_key(self.job(k=1.0), "t", "c") != cache_key(self.job(k=1.000002), "t", "c")
 
 
+def _sweep_in_child(cache_dir, queue):
+    """Child half of the two-process test: sweep k=2 (encoded by the parent)
+    and k=1, and report fresh encodes and work dirs per sweep."""
+    class Recording(SyntheticEncoder):
+        def measure(self, job):
+            work_dirs.add(str(job.work_dir.parent))
+            return super().measure(job)
+
+    counts, work_dirs = [], set()
+    for k in (2.0, 1.0):
+        backend = Recording(SyntheticClipModel(), "clip")
+        run_sweep("clip", k, av1_config(cache_dir=cache_dir), backend)
+        counts.append(backend.invocations)
+    queue.put((counts, sorted(work_dirs), os.getpid()))
+
+
 class TestPointCache:
     def test_memory_roundtrip(self):
         from rdtune.rd_curve import RDPoint
@@ -132,11 +157,14 @@ class TestPointCache:
         assert cache.get("k1") == point
 
     def test_disk_persistence(self, tmp_path):
-        from rdtune.rd_curve import RDPoint
-
-        point = RDPoint.from_score(qp=39, bitrate_kbps=100.0, msssim=0.9, vmaf=80.0)
-        PointCache(tmp_path).put("k1", point)
-        assert PointCache(tmp_path).get("k1") == point
+        # A point persists through its ledger record alone, to a fresh store.
+        curve = run_sweep("clip", 1.0, av1_config(cache_dir=tmp_path), synthetic_backend())
+        path = tmp_path / "ledger.jsonl"
+        fresh = PointCache(RunLedger(path))
+        records = RunLedger.load(path)
+        assert len(records) == 5
+        for rec in records:
+            assert fresh.get(rec["cache_key"]) == curve.point_at(rec["qp"])
 
     @pytest.mark.parametrize(
         "content",
@@ -149,59 +177,226 @@ class TestPointCache:
         ],
     )
     def test_corrupt_entry_is_a_miss_and_overwritten(self, tmp_path, content):
+        # A damaged ledger line is a miss: its point is re-encoded, and the
+        # new record supersedes the damaged one for every later store.
         config = av1_config(cache_dir=tmp_path)
         cold = run_sweep("clip", 1.0, config, synthetic_backend())
-        entry = sorted(tmp_path.glob("*.json"))[0]
-        entry.write_bytes(content)
+        path = tmp_path / "ledger.jsonl"
+        lines = path.read_bytes().splitlines(keepends=True)
+        damaged = json.loads(lines[2])
+        lines[2] = content + b"\n"
+        path.write_bytes(b"".join(lines))
 
         backend = synthetic_backend()
-        assert run_sweep("clip", 1.0, config, backend) == cold
+        assert run_sweep("clip", 1.0, config, backend, cache=PointCache(RunLedger(path))) == cold
         assert backend.invocations == 1
-        stored = json.loads(entry.read_text())
-        assert stored["cache_key"] == entry.stem
-        assert PointCache(tmp_path).get(entry.stem) in cold.points
+        fresh = PointCache(RunLedger(path))
+        assert fresh.get(damaged["cache_key"]) == cold.point_at(damaged["qp"])
 
-    def test_put_does_not_share_a_temp_name(self, tmp_path):
+        # RunLedger.load is unchanged: a middle line that does not parse raises.
+        try:
+            json.loads(content)
+        except ValueError:
+            with pytest.raises(ValueError):
+                RunLedger.load(path)
+        else:
+            assert len(RunLedger.load(path)) == 10
+
+    def test_invalid_point_under_its_key_is_a_miss(self, tmp_path):
+        config = av1_config(cache_dir=tmp_path)
+        cold = run_sweep("clip", 1.0, config, synthetic_backend())
+        path = tmp_path / "ledger.jsonl"
+        lines = path.read_bytes().splitlines(keepends=True)
+        damaged = json.loads(lines[0])
+        lines[0] = json.dumps({**damaged, "bitrate_kbps": -1.0}).encode() + b"\n"
+        path.write_bytes(b"".join(lines))
+
+        backend = synthetic_backend()
+        assert run_sweep("clip", 1.0, config, backend, cache=PointCache(RunLedger(path))) == cold
+        assert backend.invocations == 1
+
+    def test_put_writes_no_file(self, tmp_path):
         from rdtune.rd_curve import RDPoint
 
-        # Another writer's temp file occupying the shared name cannot stop
-        # this one.
-        (tmp_path / "k1.tmp").mkdir()
+        # put() only indexes; the sweep's ledger append is the one write, so
+        # no per-key or temp file exists to collide with another writer's.
+        # Leftovers of an older per-key cache are ignored.
+        config = av1_config(cache_dir=tmp_path)
+        run_sweep("clip", 1.0, config, synthetic_backend())
+        path = tmp_path / "ledger.jsonl"
+        key = RunLedger.load(path)[0]["cache_key"]
+        (tmp_path / f"{key}.json").write_text("{}")
+        (tmp_path / f"{key}.tmp").mkdir()
+        before = path.read_bytes()
+
+        cache = PointCache(RunLedger(path))
         point = RDPoint.from_score(qp=39, bitrate_kbps=100.0, msssim=0.9)
-        PointCache(tmp_path).put("k1", point)
-        assert PointCache(tmp_path).get("k1") == point
+        cache.put("k1", point)
+        assert cache.get("k1") == point
+        assert path.read_bytes() == before
+        backend = synthetic_backend()
+        run_sweep("clip", 1.0, config, backend, cache=cache)
+        assert backend.invocations == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["ledger.jsonl", f"{key}.json", f"{key}.tmp"]
+        )
 
     def test_writers_sharing_a_dir_never_clobber(self, tmp_path):
-        from rdtune.rd_curve import RDPoint
-
-        # Separate instances stand in for separate processes: no lock is
-        # shared between them.
-        points = [RDPoint.from_score(qp=q, bitrate_kbps=100.0 + q, msssim=0.9) for q in range(20)]
+        # Two instances stand in for two processes: they share no threading
+        # lock, only the flock.  Records span many pages, and a third
+        # thread keeps opening the ledger, which cuts a torn tail: it must
+        # never take an append in flight for one.
+        path = tmp_path / "ledger.jsonl"
+        ledgers = [RunLedger(path), RunLedger(path)]
+        pad = "x" * 256_000
         errors: list[BaseException] = []
+        done = threading.Event()
 
-        def writer():
-            cache = PointCache(tmp_path)
+        def writer(w):
             try:
-                for _ in range(10):
-                    for i, point in enumerate(points):
-                        cache.put(f"k{i}", point)
+                for i in range(25):
+                    ledgers[w % 2].append({"cache_key": f"w{w}-{i}", "pad": pad})
+            except BaseException as exc:
+                errors.append(exc)
+
+        def opener():
+            try:
+                while not done.is_set():
+                    RunLedger(path)
             except BaseException as exc:
                 errors.append(exc)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=writer) for _ in range(4)]
-            for t in threads:
+            writers = [threading.Thread(target=writer, args=(w,)) for w in range(4)]
+            reopen = threading.Thread(target=opener)
+            reopen.start()
+            for t in writers:
                 t.start()
-            for t in threads:
-                t.join(timeout=30.0)
+            for t in writers:
+                t.join(timeout=60.0)
+            done.set()
+            reopen.join(timeout=60.0)
         finally:
             sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
+        assert not any(t.is_alive() for t in writers + [reopen])
         assert errors == []
-        fresh = PointCache(tmp_path)
-        assert [fresh.get(f"k{i}") for i in range(len(points))] == points
+        records = RunLedger.load(path)
+        assert sorted(r["cache_key"] for r in records) == sorted(
+            f"w{w}-{i}" for w in range(4) for i in range(25)
+        )
+        assert all(r["pad"] == pad for r in records)
+
+    def test_second_instance_sees_appends_on_a_miss(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        config = av1_config(cache_dir=tmp_path)
+        first, second = PointCache(RunLedger(path)), PointCache(RunLedger(path))
+        run_sweep("clip", 2.0, config, synthetic_backend(), cache=second)
+        run_sweep("clip", 1.0, config, synthetic_backend(), cache=first)
+        backend = synthetic_backend()
+        run_sweep("clip", 1.0, config, backend, cache=second)
+        assert backend.invocations == 0
+
+    def test_processes_sharing_a_dir_reuse_encodes(self, tmp_path):
+        # This process opens its store and encodes k=2; a child process then
+        # reuses those and encodes k=1, which this process's open store
+        # picks up on its next miss.  Each encodes under its own work dir.
+        config = av1_config(cache_dir=tmp_path)
+        parent = synthetic_backend()
+        run_sweep("clip", 2.0, config, parent)
+        ctx = multiprocessing.get_context("spawn")
+        queue = ctx.Queue()
+        child = ctx.Process(target=_sweep_in_child, args=(tmp_path, queue))
+        child.start()
+        try:
+            counts, work_dirs, child_pid = queue.get(timeout=120.0)
+        finally:
+            child.join(timeout=120.0)
+        assert not child.is_alive()
+        assert counts == [0, 5]
+        assert work_dirs == [str(tmp_path / "work" / str(child_pid))]
+        assert child_pid != os.getpid()
+        run_sweep("clip", 1.0, config, parent)
+        assert parent.invocations == 5
+        assert len(RunLedger.load(tmp_path / "ledger.jsonl")) == 20
+
+
+class TestStoreAndPool:
+    def test_ledger_parsed_once_across_clips(self, tmp_path, monkeypatch):
+        # Clips optimised one call at a time over one cache dir share one
+        # store, so each ledger line is read once, not once per clip.
+        lines_read = []
+        _read_from = RunLedger._read_from
+
+        def counting(self, offset):
+            data = _read_from(self, offset)
+            lines_read.append(data.count(b"\n"))
+            return data
+
+        monkeypatch.setattr(RunLedger, "_read_from", counting)
+        config = av1_config(cache_dir=tmp_path)
+        for i in range(20):
+            optimize_clip(f"clip{i}", config, synthetic_backend(f"clip{i}"))
+        records = RunLedger.load(tmp_path / "ledger.jsonl")
+        assert len(records) >= 20 * 5 * 5
+        assert sum(lines_read) <= len(records)
+
+    def test_new_cache_dir_releases_old_store(self, tmp_path):
+        run_sweep("clip", 1.0, av1_config(cache_dir=tmp_path / "a"), synthetic_backend())
+        old = weakref.ref(sweep._open_store)
+        run_sweep("clip", 1.0, av1_config(cache_dir=tmp_path / "b"), synthetic_backend())
+        gc.collect()
+        assert old() is None
+
+    def test_replaced_ledger_is_not_served_from_memory(self, tmp_path):
+        config = av1_config(cache_dir=tmp_path / "a")
+        run_sweep("clip", 1.0, config, synthetic_backend())
+        shutil.rmtree(tmp_path / "a")
+        backend = synthetic_backend()
+        run_sweep("clip", 1.0, config, backend)
+        assert backend.invocations == 5
+        assert len(RunLedger.load(tmp_path / "a" / "ledger.jsonl")) == 5
+
+    def test_one_pool_per_call(self, tmp_path, monkeypatch):
+        opened = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        monkeypatch.setattr(sweep, "ThreadPoolExecutor", CountingPool)
+        config = av1_config(cache_dir=tmp_path)
+        result = optimize_clip("clip", config, synthetic_backend())
+        assert result.iterations > 3
+        assert len(opened) == 1
+        assert opened[0]._max_workers == config.workers
+
+        reference = run_sweep("clip", 1.0, config, synthetic_backend())
+        assert len(opened) == 2
+        evaluate_cost("clip", 1.7, reference, config, synthetic_backend())
+        assert len(opened) == 3
+        with ThreadPoolExecutor(2) as pool:
+            trial = evaluate_cost("clip", 1.9, reference, config, synthetic_backend(), pool=pool)
+        assert trial.encoder_invocations == 5
+        assert len(opened) == 3
+
+    def test_work_dir_is_private_to_the_process(self, tmp_path):
+        work_dirs = set()
+
+        class Recording(SyntheticEncoder):
+            def measure(self, job):
+                work_dirs.add(job.work_dir.parent)
+                return super().measure(job)
+
+        pid = str(os.getpid())
+        backend = Recording(SyntheticClipModel(), "clip")
+        run_sweep("clip", 1.0, av1_config(cache_dir=tmp_path), backend)
+        assert work_dirs == {tmp_path / "work" / pid}
+        work_dirs.clear()
+        run_sweep("clip", 1.0, av1_config(), Recording(SyntheticClipModel(), "clip"))
+        assert work_dirs == {Path(tempfile.gettempdir()) / "rdtune-work" / pid}
 
 
 class TestRunSweep:
@@ -285,6 +480,35 @@ class TestRunLedger:
             fh.write('{"cache_key": "c", "q\n{"cache_key": "d"}\n')
         with pytest.raises(json.JSONDecodeError):
             RunLedger.load(path)
+
+    def test_append_after_torn_tail_keeps_every_record(self, tmp_path):
+        # A crash tore the last line; a new store cuts it off when it opens,
+        # so its appends never turn it into a corrupt middle line.
+        config = av1_config(cache_dir=tmp_path)
+        run_sweep("clip", 1.0, config, synthetic_backend())
+        path = tmp_path / "ledger.jsonl"
+        with path.open("a") as fh:
+            fh.write('{"cache_key": "c", "q')
+        store = PointCache(RunLedger(path))
+        run_sweep("clip", 2.0, config, synthetic_backend(), cache=store)
+        records = RunLedger.load(path)
+        assert len(records) == 10
+        assert {r["k"] for r in records} == {1.0, 2.0}
+
+    def test_tail_torn_while_open_is_cut_before_append(self, tmp_path):
+        path = self._two_records(tmp_path)
+        ledger = RunLedger(path)
+        with path.open("a") as fh:
+            fh.write('{"cache_key": "c", "q')
+        ledger.append({"cache_key": "d", "qp": 49})
+        assert [r["cache_key"] for r in RunLedger.load(path)] == ["a", "b", "d"]
+
+    def test_unterminated_tail_that_parses_is_ended_on_open(self, tmp_path):
+        path = self._two_records(tmp_path)
+        with path.open("a") as fh:
+            fh.write('{"cache_key": "c"}')
+        RunLedger(path).append({"cache_key": "d"})
+        assert [r["cache_key"] for r in RunLedger.load(path)] == ["a", "b", "c", "d"]
 
     def test_corrupt_terminated_last_line_raises(self, tmp_path):
         path = self._two_records(tmp_path)
