@@ -57,7 +57,6 @@ from .scalar_opt import (
     SearchDomain,
     bracket_minimum,
     brent_minimize,
-    golden_section_minimize,
 )
 from .encoder_bridge import (
     ClipInfo,

@@ -23,7 +23,6 @@ __all__ = [
     "OptimizerTrace",
     "bracket_minimum",
     "brent_minimize",
-    "golden_section_minimize",
 ]
 
 _GOLDEN = 0.3819660112501051  # 2 - phi
@@ -195,29 +194,3 @@ def brent_minimize(
     trace.iterations = len(trace.evaluations)
     f_best, x_best = min(best, key=lambda t: (t[0], t[1]))
     return x_best, f_best, trace
-
-
-def golden_section_minimize(
-    f: Callable[[float], float],
-    bracket: Bracket,
-    xtol: float = 1e-9,
-    max_iters: int = 200,
-) -> float:
-    """Plain golden-section refinement of a bracket; used as a slow, simple
-    cross-check for brent_minimize."""
-    a, b = bracket.a, bracket.c
-    x1 = b - (b - a) * (1.0 - _GOLDEN)
-    x2 = a + (b - a) * (1.0 - _GOLDEN)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(max_iters):
-        if b - a <= xtol * (abs(x1) + abs(x2)) / 2.0 + _ZEPS:
-            break
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - (b - a) * (1.0 - _GOLDEN)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + (b - a) * (1.0 - _GOLDEN)
-            f2 = f(x2)
-    return x1 if f1 < f2 else x2

@@ -10,9 +10,14 @@ cache key, so a warm re-run, or another process sharing the cache dir,
 re-encodes nothing.  All sweeps of one optimize_clip or run_sweep call
 share one encode pool of config.workers threads.
 
-The search runs bracketing plus Brent over log k by default.  k-hat is
-the best evaluated trial including the k=1 baseline, so no clip can
-regress: reported bd_rate is always <= 0.
+The search runs bracketing plus Brent over log k by default.  It has one
+failure rule: any RdtuneError raised while bracketing or refining (a probe
+whose sweep or BD-Rate fails, or no bracket inside the k bounds) ends the
+search, and k-hat is the best trial evaluated up to then, including the
+k=1 baseline, so no clip can regress: reported bd_rate is always <= 0.
+The result's stop_reason says why the search ended.  Only an encode whose
+child process failed (EncodeFailure) is retried, once; every other error
+is deterministic and a retry would only repeat it.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Protocol
 
-from .errors import RdtuneError, SweepError
+from .errors import EncodeFailure, RdtuneError, SweepError
 from .encoder_bridge import EncodeJob
 from .lambda_model import CodecId, FrameTypeGroup, LambdaScope, validate_qp
 from .rd_curve import (
@@ -410,7 +415,10 @@ def _sweep(
     if pending:
         def run_one(job: EncodeJob) -> tuple[RDPoint, float]:
             start = time.perf_counter()
-            point = backend.measure(job)
+            try:
+                point = backend.measure(job)
+            except EncodeFailure:  # a failed child process may succeed again
+                point = backend.measure(job)
             return point, time.perf_counter() - start
 
         futures = {pool.submit(run_one, job): (qp, job, key) for qp, job, key in pending}
@@ -517,7 +525,13 @@ def evaluate_cost(
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Converged per-clip outcome plus everything needed to report it."""
+    """Per-clip outcome plus everything needed to report it.
+
+    stop_reason says why the search ended: "converged" or "max_iters" from
+    Brent, "no_bracket" when no bracket was found inside the k bounds, or
+    "failed_probe" when a probe raised.  A result saved before the field
+    existed loads with "unknown".
+    """
 
     clip_id: str
     codec: CodecId
@@ -526,6 +540,7 @@ class OptimizationResult:
     k_hat: float
     bd_rate: float
     iterations: int
+    stop_reason: str
     improved: bool
     rd2_savings: float
     mean_savings: float
@@ -544,6 +559,7 @@ class OptimizationResult:
             "k_hat": self.k_hat,
             "bd_rate": self.bd_rate,
             "iterations": self.iterations,
+            "stop_reason": self.stop_reason,
             "improved": self.improved,
             "rd2_savings": self.rd2_savings,
             "mean_savings": self.mean_savings,
@@ -564,6 +580,7 @@ class OptimizationResult:
             k_hat=float(d["k_hat"]),
             bd_rate=float(d["bd_rate"]),
             iterations=int(d["iterations"]),
+            stop_reason=str(d.get("stop_reason", "unknown")),
             improved=bool(d["improved"]),
             rd2_savings=float(d["rd2_savings"]),
             mean_savings=float(d["mean_savings"]),
@@ -583,17 +600,12 @@ def load_result(path: Path | str) -> OptimizationResult:
     return OptimizationResult.from_dict(json.loads(Path(path).read_text()))
 
 
-class _TrialFailure(RdtuneError):
-    """A trial failed twice in a row; the optimization degrades to k=1."""
-
-
 class _CostObjective:
     """Memoized cost callback over the optimizer's coordinate.
 
     Arguments are quantized to a 1e-6 grid so re-probes are free.  A
-    failing trial is retried once (partial points are already cached, so
-    the retry only re-dispatches what failed); a second failure aborts
-    the optimization via _TrialFailure.
+    failing trial is not caught here: its error ends the search in
+    optimize_clip.
     """
 
     def __init__(self, clip_id, config, backend, reference, cache, ledger, pool, log_domain: bool):
@@ -613,19 +625,10 @@ class _CostObjective:
         if grid in self._memo:
             return self._memo[grid]
         k = math.exp(coord) if self.log_domain else coord
-        try:
-            trial = evaluate_cost(
-                self.clip_id, k, self.reference, self.config, self.backend, self.cache,
-                self.ledger, pool=self.pool,
-            )
-        except RdtuneError:
-            try:
-                trial = evaluate_cost(
-                    self.clip_id, k, self.reference, self.config, self.backend, self.cache,
-                    self.ledger, pool=self.pool,
-                )
-            except RdtuneError as exc:
-                raise _TrialFailure(f"trial k={k:.6f} failed twice: {exc}") from exc
+        trial = evaluate_cost(
+            self.clip_id, k, self.reference, self.config, self.backend, self.cache,
+            self.ledger, pool=self.pool,
+        )
         self.trials.append(trial)
         self._memo[grid] = trial.cost
         return trial.cost
@@ -644,25 +647,19 @@ def optimize_clip(
 ) -> OptimizationResult:
     """Find the scale factor minimizing BD-Rate against the clip's k=1 curve.
 
-    Brackets downhill from the seeds, then runs Brent; k-hat is the best
-    evaluated trial including the k=1 baseline.  On bracket failure or a
-    twice-failed trial the result degenerates to k-hat=1, flagged
-    improved=False.  A failed reference sweep is retried once (completed
-    points are already cached) and then propagates, since no result can
-    be reported without the k=1 curve.  Every sweep of the call runs its
-    encodes on one pool of config.workers threads; the store is chosen as
-    in run_sweep.
+    Brackets downhill from the seeds, then runs Brent.  Any RdtuneError
+    raised on the way (no bracket, or a probe that fails) ends the search;
+    k-hat is always the best trial evaluated, including the k=1 baseline,
+    and stop_reason records why the search ended.  A failed reference
+    sweep propagates, since no result can be reported without the k=1
+    curve.  Every sweep of the call runs its encodes on one pool of
+    config.workers threads; the store is chosen as in run_sweep.
     """
     cache, ledger = _stores(config, cache, ledger)
     log_domain = optimizer.search_domain is SearchDomain.LOGARITHMIC
     to_coord = math.log if log_domain else (lambda v: v)
-    degenerate = False
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        try:
-            reference, _ = _sweep(clip_id, 1.0, config, backend, cache, ledger, pool)
-        except RdtuneError:
-            reference, _ = _sweep(clip_id, 1.0, config, backend, cache, ledger, pool)
-
+        reference, _ = _sweep(clip_id, 1.0, config, backend, cache, ledger, pool)
         objective = _CostObjective(
             clip_id, config, backend, reference, cache, ledger, pool, log_domain
         )
@@ -675,22 +672,20 @@ def optimize_clip(
                 lo=to_coord(k_bounds[0]),
                 hi=to_coord(k_bounds[1]),
             )
-            brent_minimize(objective, bracket, optimizer)
-        except (BracketError, _TrialFailure):
-            degenerate = True
+            _, _, trace = brent_minimize(objective, bracket, optimizer)
+            stop_reason = "converged" if trace.converged else "max_iters"
+        except BracketError:
+            stop_reason = "no_bracket"
+        except RdtuneError:
+            stop_reason = "failed_probe"
 
     trials = list(objective.trials)
-    baseline = TrialRecord(k=1.0, curve=reference, cost=0.0, encoder_invocations=0)
     if not any(_quantize_k(t.k) == _quantize_k(1.0) for t in trials):
-        trials.insert(0, baseline)
+        trials.insert(0, TrialRecord(k=1.0, curve=reference, cost=0.0, encoder_invocations=0))
 
     iterations = sum(1 for t in trials if _quantize_k(t.k) != _quantize_k(1.0))
     total_invocations = sum(t.encoder_invocations for t in trials)
-
-    if degenerate:
-        best = baseline
-    else:
-        best = min(trials, key=lambda t: (t.cost, abs(math.log(t.k))))
+    best = min(trials, key=lambda t: (t.cost, abs(math.log(t.k))))
 
     if _quantize_k(best.k) == _quantize_k(1.0) or best.cost >= 0.0:
         return OptimizationResult(
@@ -701,6 +696,7 @@ def optimize_clip(
             k_hat=1.0,
             bd_rate=0.0,
             iterations=iterations,
+            stop_reason=stop_reason,
             improved=False,
             rd2_savings=0.0,
             mean_savings=0.0,
@@ -719,6 +715,7 @@ def optimize_clip(
         k_hat=best.k,
         bd_rate=best.cost,
         iterations=iterations,
+        stop_reason=stop_reason,
         improved=True,
         rd2_savings=matched_qp_savings(reference, best.curve, config.rd2_qp),
         mean_savings=mean_matched_savings(reference, best.curve),

@@ -146,6 +146,18 @@ class TestReportCommand:
         assert cli_dispatch(["report", "--out", str(out)] + [str(p) for p in results]) == 0
         assert "Avg BDR(%)" in out.read_text()
 
+    def test_result_without_stop_reason(self, results, capsys):
+        # Result files written before stop_reason existed still report.
+        args = ["report"] + [str(p) for p in results]
+        assert cli_dispatch(args) == 0
+        current = capsys.readouterr().out
+        for path in results:
+            doc = json.loads(path.read_text())
+            del doc["stop_reason"]
+            path.write_text(json.dumps(doc))
+        assert cli_dispatch(args) == 0
+        assert capsys.readouterr().out == current
+
 
 class TestPlotCommand:
     def test_writes_svg(self, tmp_path):

@@ -23,7 +23,7 @@ def make_result(bd=-4.0, k_hat=2.0, iters=9, group=FrameTypeGroup.KF_GF_ARF,
     curve = RDCurve(clip_id=clip_id, codec=codec, k=1.0, group=group, scope=scope, points=points)
     return OptimizationResult(
         clip_id=clip_id, codec=codec, group=group, scope=scope,
-        k_hat=k_hat, bd_rate=bd, iterations=iters, improved=bd < 0,
+        k_hat=k_hat, bd_rate=bd, iterations=iters, stop_reason="converged", improved=bd < 0,
         rd2_savings=bd * 1.5, mean_savings=bd * 1.2, msssim_change_db=0.1,
         vmaf_change=vmaf_change, total_invocations=iters * 4,
         trials=(), reference_curve=curve,

@@ -10,7 +10,6 @@ from rdtune.scalar_opt import (
     SearchDomain,
     bracket_minimum,
     brent_minimize,
-    golden_section_minimize,
 )
 
 import oracles
@@ -150,13 +149,6 @@ class TestBrent:
         config = OptimizerConfig(xtol=1e-4, max_iters=40)
         _, _, trace = brent_minimize(quadratic, make_bracket(quadratic, 0.1, 1.0, 10.0), config)
         assert trace.iterations == len(trace.evaluations)
-
-
-class TestGoldenSection:
-    def test_quadratic(self):
-        br = make_bracket(quadratic, 0.1, 1.0, 10.0)
-        x = golden_section_minimize(quadratic, br, xtol=1e-9)
-        assert x == pytest.approx(2.5, abs=1e-6)
 
 
 class TestOptimizerConfig:

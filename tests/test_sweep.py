@@ -9,13 +9,14 @@ import tempfile
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from rdtune import sweep
 from rdtune.encoder_bridge import EncodeJob, SyntheticClipModel, SyntheticEncoder
-from rdtune.errors import SweepError
+from rdtune.errors import EncodeFailure, SweepError
 from rdtune.lambda_model import CodecId, FrameTypeGroup, LambdaScope
 from rdtune.rd_curve import bd_quality, bd_rate, matched_qp_savings, mean_matched_savings, mean_vmaf_delta
 from rdtune.sweep import (
@@ -49,7 +50,8 @@ def synthetic_backend(clip_id="clip", **model_kwargs):
 
 
 class FlakyBackend(SyntheticEncoder):
-    """Fails the first `failures` calls matching (qp, k) predicate."""
+    """Fails the first `failures` calls matching (qp, k) predicate; a failed
+    call counts as an invocation."""
 
     def __init__(self, model, clip_id, fail_qp, fail_k=None, failures=1):
         super().__init__(model, clip_id)
@@ -64,8 +66,13 @@ class FlakyBackend(SyntheticEncoder):
             and (self.fail_k is None or abs(job.k - self.fail_k) < 1e-9)
         ):
             self.remaining_failures -= 1
-            raise SweepError("injected encode failure")
+            self.fail("injected encode failure")
         return super().measure(job)
+
+    def fail(self, message):
+        with self._count_lock:
+            self.invocations += 1
+        raise EncodeFailure(message)
 
 
 class TestSweepConfig:
@@ -440,9 +447,11 @@ class TestRunSweep:
 
     def test_failure_names_job_and_keeps_partials(self, tmp_path):
         config = av1_config(cache_dir=tmp_path)
-        backend = FlakyBackend(SyntheticClipModel(), "clip", fail_qp=49, failures=1)
+        # A failed encode is retried once, so fail it twice.
+        backend = FlakyBackend(SyntheticClipModel(), "clip", fail_qp=49, failures=2)
         with pytest.raises(SweepError, match=r"qp=49, k=1\.3"):
             run_sweep("clip", 1.3, config, backend)
+        assert backend.invocations == 5 + 1
         # Partials are cached: the retry only dispatches the failed point.
         retry_backend = synthetic_backend()
         run_sweep("clip", 1.3, config, retry_backend)
@@ -562,6 +571,7 @@ class TestOptimizeClip:
         assert abs(result.k_hat - oracles.GRID_ARGMIN_K) <= 0.15
         assert result.bd_rate < 0.0
         assert result.improved
+        assert result.stop_reason == "converged"
         assert result.iterations <= 25
         fresh_trials = [t for t in result.trials if t.encoder_invocations > 0]
         assert result.total_invocations == 5 * len(fresh_trials)
@@ -595,12 +605,11 @@ class TestOptimizeClip:
         assert result.vmaf_change == mean_vmaf_delta(reference, best.curve)
 
     def test_persistent_failure_degenerates_to_one(self, tmp_path):
-        backend = FlakyBackend(SyntheticClipModel(), "clip", fail_qp=49, fail_k=None, failures=10_000)
         # The k=1 reference itself must succeed; fail only k != 1 jobs.
         class FailNonReference(FlakyBackend):
             def measure(self, job):
                 if abs(job.k - 1.0) > 1e-9 and job.qp == 49:
-                    raise SweepError("injected persistent failure")
+                    self.fail("injected persistent failure")
                 return SyntheticEncoder.measure(self, job)
 
         backend = FailNonReference(SyntheticClipModel(), "clip", fail_qp=49)
@@ -608,6 +617,10 @@ class TestOptimizeClip:
         assert result.k_hat == 1.0
         assert result.bd_rate == 0.0
         assert not result.improved
+        assert result.stop_reason == "failed_probe"
+        # The first failed probe ends the search: the reference sweep plus
+        # one probe, whose failed encode is retried once.
+        assert backend.invocations <= 5 + 5 + 1
 
     def test_transient_reference_failure_recovers(self, tmp_path):
         # First failure lands in the k=1 reference sweep; the retry only
@@ -616,24 +629,51 @@ class TestOptimizeClip:
         result = optimize_clip("clip", av1_config(cache_dir=tmp_path), backend)
         assert result.improved
         assert abs(result.k_hat - oracles.GRID_ARGMIN_K) <= 0.15
+        assert backend.invocations == 5 + 1 + result.total_invocations
 
     def test_transient_trial_failure_recovers(self, tmp_path):
-        class FailFirstTrial(SyntheticEncoder):
-            def __init__(self, model, clip_id):
-                super().__init__(model, clip_id)
-                self.failed_once = False
-
-            def measure(self, job):
-                if not self.failed_once and abs(job.k - 1.0) > 1e-9 and job.qp == 59:
-                    self.failed_once = True
-                    raise SweepError("injected trial failure")
-                return super().measure(job)
-
-        backend = FailFirstTrial(SyntheticClipModel(), "clip")
+        # The first trial is the k=0.5 seed; one of its encodes fails once.
+        backend = FlakyBackend(SyntheticClipModel(), "clip", fail_qp=59, fail_k=0.5, failures=1)
         result = optimize_clip("clip", av1_config(cache_dir=tmp_path), backend)
-        assert backend.failed_once
+        assert backend.remaining_failures == 0
         assert result.improved
         assert abs(result.k_hat - oracles.GRID_ARGMIN_K) <= 0.15
+        assert backend.invocations == 5 + 1 + result.total_invocations
+
+    @pytest.mark.parametrize(
+        "model, k_hat, bd, stop_reason",
+        [
+            # The k=16 probe underflows the quality model while bracketing.
+            (SyntheticClipModel(c=4.0, k_star=2.5), None, -72.60, "failed_probe"),
+            # Still descending at the k=16 bound: no bracket.
+            (SyntheticClipModel(c=0.8, k_star=10.0), 16.0, -81.81, "no_bracket"),
+        ],
+    )
+    def test_search_cut_short_keeps_best_evaluated_trial(
+        self, tmp_path, model, k_hat, bd, stop_reason
+    ):
+        result = optimize_clip("clip", av1_config(cache_dir=tmp_path), SyntheticEncoder(model, "clip"))
+        assert result.bd_rate == pytest.approx(bd, abs=0.01)
+        assert result.bd_rate == min(t.cost for t in result.trials)
+        assert result.improved
+        assert result.stop_reason == stop_reason
+        if k_hat is not None:
+            assert result.k_hat == pytest.approx(k_hat, rel=1e-12)
+
+    def test_deterministic_failure_is_tried_once(self, tmp_path):
+        # The k=0.5 seed underflows the quality model at three QPs; those
+        # encodes are not retried and the search ends at that probe.
+        backend = synthetic_backend(c=8.0, k_star=2.5)
+        result = optimize_clip("clip", av1_config(cache_dir=tmp_path), backend)
+        assert backend.invocations == 5 + 5
+        assert result.stop_reason == "failed_probe"
+        assert result.k_hat == 1.0
+
+    def test_stop_reason_max_iters(self, tmp_path):
+        optimizer = replace(DEFAULT_OPTIMIZER, xtol=1e-9, max_iters=3)
+        result = optimize_clip("clip", av1_config(cache_dir=tmp_path), synthetic_backend(), optimizer)
+        assert result.stop_reason == "max_iters"
+        assert result.improved
 
     def test_warm_rerun_identical_but_free(self, tmp_path):
         config = av1_config(cache_dir=tmp_path)
@@ -651,6 +691,16 @@ class TestOptimizeClip:
         path = tmp_path / "result.json"
         save_result(result, path)
         assert load_result(path) == result
+        assert json.loads(path.read_text())["stop_reason"] == "converged"
+
+    def test_result_without_stop_reason_loads(self, tmp_path):
+        # Results saved before stop_reason existed lack the field.
+        result = optimize_clip("clip", av1_config(cache_dir=tmp_path), synthetic_backend())
+        doc = result.to_dict()
+        del doc["stop_reason"]
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc))
+        assert load_result(path) == replace(result, stop_reason="unknown")
 
 
 class TestBudget:
