@@ -74,7 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--scope", type=_scope, default=LambdaScope.TOP,
                         help="Top (all RD decisions) or Partition (partitioning only)")
     shared.add_argument("--k", type=float, default=1.0, help="scale factor for sweeps")
-    shared.add_argument("--workers", type=int, default=5, help="parallel encodes per sweep")
+    shared.add_argument("--workers", type=int, default=5,
+                        help="concurrent encoder child processes per sweep; "
+                             "no effect with --synthetic, whose encodes run in-process")
     shared.add_argument("--cache-dir", type=Path, default=None,
                         help="persistent RD-point cache and run ledger location")
     shared.add_argument("--encoder-template", default=None,

@@ -418,6 +418,10 @@ def synth_encode(model: SyntheticClipModel, qp: int, k: float) -> RDPoint:
 class SyntheticEncoder:
     """Backend over a SyntheticClipModel; counts its invocations."""
 
+    # Its encodes are Python arithmetic that holds the GIL: threads cannot
+    # overlap them, so sweeps run them on the calling thread.
+    in_process = True
+
     def __init__(self, model: SyntheticClipModel, clip_id: str = "synthetic"):
         self.model = model
         self.clip_id = clip_id
@@ -443,6 +447,9 @@ class SyntheticEncoder:
 class ExternalEncoder:
     """Backend that shells out (shell-free) to a patched encoder and a
     metric tool, per the command templates."""
+
+    # Its encodes wait on child processes, which a pool of threads overlaps.
+    in_process = False
 
     def __init__(
         self,

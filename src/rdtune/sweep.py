@@ -7,8 +7,17 @@ completed encode (fresh or cached) is appended to a JSON Lines run ledger,
 which is sufficient to recompute every derived statistic and is the one
 persistent store of RD points: PointCache indexes it by content-addressed
 cache key, so a warm re-run, or another process sharing the cache dir,
-re-encodes nothing.  All sweeps of one optimize_clip or run_sweep call
-share one encode pool of config.workers threads.
+re-encodes nothing.
+
+A sweep dispatches its cache misses in one of two ways, chosen by the
+backend's in_process attribute.  An in-process backend's encodes hold the
+GIL, so a thread pool could not overlap them and would only add hand-off
+cost: they run in ladder order on the calling thread, and the sweep's
+records (hits, fresh points, and the partials of a failed sweep) go to the
+ledger in one write.  A backend whose encodes run in child processes gets
+one pool of config.workers threads per optimize_clip or run_sweep call:
+the sweep's hits go to the ledger in one write, and each fresh point as
+soon as its encode completes, so a killed run loses no finished encode.
 
 The search runs bracketing plus Brent over log k by default.  It has one
 failure rule: any RdtuneError raised while bracketing or refining (a probe
@@ -98,9 +107,16 @@ def _quantize_k(k: float) -> int:
 
 
 class EncoderBackend(Protocol):
-    """What the orchestrator needs from an encode backend."""
+    """What the orchestrator needs from an encode backend.
+
+    in_process is True when measure() computes in this interpreter, holding
+    the GIL, so sweeps call it on the calling thread; False when it waits
+    on child processes, so sweeps call it from a pool of config.workers
+    threads.
+    """
 
     invocations: int
+    in_process: bool
 
     def measure(self, job: EncodeJob) -> RDPoint: ...
 
@@ -154,12 +170,19 @@ class RunLedger:
     """Append-only JSON Lines record of every completed encode, and the one
     persistent store of RD points (PointCache is its in-memory index).
 
-    The file is opened once with O_APPEND, and each record is written with
-    one os.write while an exclusive flock is held, so writers in any number
-    of processes never interleave or lose a line.  A last line with no
-    newline is an append cut short by a crash: under the same lock, opening
-    and every append first end the file on a newline, cutting that line off
-    unless it parses.  With path=None records go nowhere.
+    The file is opened once with O_APPEND, and each append() writes all of
+    its records with one os.write while an exclusive flock is held, so
+    writers in any number of processes never interleave or lose a line, and
+    the records of one append are adjacent.  A last line with no newline is
+    an append cut short by a crash: under the same lock, opening and every
+    append first end the file on a newline, cutting that line off unless it
+    parses.  With path=None records go nowhere.
+
+    An in-process sweep appends its records once, after its last encode, so
+    a crash in the middle of one loses at most the ladder's encodes of that
+    sweep (5 synthetic encodes on the default ladders, about 150 us of
+    work).  A sweep over child processes appends each encode as it
+    completes.
     """
 
     def __init__(self, path: Path | None = None):
@@ -183,29 +206,35 @@ class RunLedger:
             finally:
                 fcntl.flock(self._fd, fcntl.LOCK_UN)
 
-    def _end_on_newline(self) -> None:
+    def _end_on_newline(self) -> int:
         """Terminate an unterminated last line that parses; cut off one that
-        does not.  The caller holds the lock, so no append is in flight."""
+        does not.  Returns the file's size after that.  The caller holds the
+        lock, so no append is in flight."""
         end = os.fstat(self._fd).st_size
         if end == 0 or os.pread(self._fd, 1, end - 1) == b"\n":
-            return
+            return end
         data = os.pread(self._fd, end, 0)
         start = data.rfind(b"\n") + 1
         try:
             json.loads(data[start:])
         except ValueError:
             os.ftruncate(self._fd, start)
-        else:
-            os.write(self._fd, b"\n")
+            return start
+        os.write(self._fd, b"\n")
+        return end + 1
 
-    def append(self, record: dict) -> None:
+    def append(self, *records: dict) -> tuple[int, int]:
+        """Write the records, one line each, as one append; returns the byte
+        span [start, end) they occupy in the file ((0, 0) with no file)."""
         if self._fd is None:
-            return
-        data = (json.dumps(record, sort_keys=True) + "\n").encode()
+            return 0, 0
+        data = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records).encode()
         with self._locked():
-            self._end_on_newline()
-            while data:
-                data = data[os.write(self._fd, data):]
+            start = self._end_on_newline()
+            rest = data
+            while rest:
+                rest = rest[os.write(self._fd, rest):]
+        return start, start + len(data)
 
     def _read_from(self, offset: int) -> bytes:
         """The complete lines written at or after byte `offset`, by any writer."""
@@ -259,10 +288,10 @@ def _record_point(rec: dict) -> RDPoint:
 class PointCache:
     """In-memory index cache_key -> RDPoint over a RunLedger.
 
-    put() writes to memory only: the ledger record the sweep appends right
-    after it is what persists the point.  On a miss, get() first indexes
-    the complete lines appended to the ledger since its last read, by this
-    or any other process, then looks again.  A line that does not parse or
+    put() writes to memory only: the ledger record the sweep appends after
+    it is what persists the point.  On a miss, get() first indexes the
+    complete lines appended to the ledger since its last read, by this or
+    any other process, then looks again.  A line that does not parse or
     does not make a valid RDPoint is skipped, so its point is a miss and is
     re-encoded.  With no ledger (or one with no path) it is memory-only.
     """
@@ -295,6 +324,17 @@ class PointCache:
     def put(self, key: str, point: RDPoint) -> None:
         with self._lock:
             self._mem[key] = point
+
+    def _skip(self, span: tuple[int, int]) -> None:
+        """Mark the ledger bytes [start, end) read, when they start where
+        the last read ended.  For records of points this store already
+        holds (a sweep's own append): parsing them would add nothing.  A
+        span elsewhere holds, or follows, lines not yet read; those are
+        parsed on the next miss as usual."""
+        start, end = span
+        with self._lock:
+            if self._read_to == start:
+                self._read_to = end
 
 
 # The store of the last cache dir used without an explicit store.  The CLI
@@ -374,6 +414,14 @@ def _work_root(config: SweepConfig) -> Path:
     return base / str(os.getpid())
 
 
+def _encode_pool(config: SweepConfig, backend: EncoderBackend):
+    """Context giving the encode pool of one call: config.workers threads
+    for a backend over child processes, None for an in-process one."""
+    if backend.in_process:
+        return nullcontext()
+    return ThreadPoolExecutor(max_workers=config.workers)
+
+
 def _sweep(
     clip_id: str,
     k: float,
@@ -381,15 +429,18 @@ def _sweep(
     backend: EncoderBackend,
     cache: PointCache,
     ledger: RunLedger,
-    pool: ThreadPoolExecutor,
+    pool: ThreadPoolExecutor | None,
 ) -> tuple[RDCurve, int]:
     """Measure the full ladder for one (clip, k), encoding cache misses on
-    `pool`; returns (curve, fresh_encodes)."""
+    `pool`, or in ladder order on this thread when it is None; returns
+    (curve, fresh_encodes).  A failed sweep raises SweepError, whose
+    fresh_encodes counts the encodes it dispatched."""
     template_digest = backend.template_digest()
     clip_digest = backend.clip_digest(clip_id)
     work_root = _work_root(config)
 
     points: dict[int, RDPoint] = {}
+    hits: list[dict] = []
     pending: list[tuple[int, EncodeJob, str]] = []
     for qp in config.qp_ladder:
         job = EncodeJob(
@@ -407,37 +458,56 @@ def _sweep(
         point = cache.get(key)
         if point is not None:
             points[qp] = point
-            ledger.append(_ledger_record(key, job, point, 0.0, cached=True))
+            hits.append(_ledger_record(key, job, point, 0.0, cached=True))
         else:
             pending.append((qp, job, key))
 
-    failures: list[tuple[int, Exception]] = []
-    if pending:
-        def run_one(job: EncodeJob) -> tuple[RDPoint, float]:
-            start = time.perf_counter()
-            try:
-                point = backend.measure(job)
-            except EncodeFailure:  # a failed child process may succeed again
-                point = backend.measure(job)
-            return point, time.perf_counter() - start
+    def write(records: list[dict]) -> None:
+        if records:
+            span = ledger.append(*records)
+            if ledger is cache.ledger:
+                cache._skip(span)
 
+    def run_one(job: EncodeJob) -> tuple[RDPoint, float]:
+        start = time.perf_counter()
+        try:
+            point = backend.measure(job)
+        except EncodeFailure:  # a failed child process may succeed again
+            point = backend.measure(job)
+        return point, time.perf_counter() - start
+
+    failures: list[tuple[int, Exception]] = []
+
+    def settle(qp: int, job: EncodeJob, key: str, outcome) -> list[dict]:
+        """Index one finished encode; outcome() returns run_one's result or
+        raises its error.  Returns the records to write."""
+        try:
+            point, seconds = outcome()
+        except Exception as exc:  # partial results stay cached
+            failures.append((qp, exc))
+            return []
+        cache.put(key, point)
+        points[qp] = point
+        return [_ledger_record(key, job, point, seconds, cached=False)]
+
+    if pool is None:
+        records = hits
+        for qp, job, key in pending:
+            records += settle(qp, job, key, lambda: run_one(job))
+        write(records)
+    else:
+        write(hits)
         futures = {pool.submit(run_one, job): (qp, job, key) for qp, job, key in pending}
         for fut in as_completed(futures):
-            qp, job, key = futures[fut]
-            try:
-                point, seconds = fut.result()
-            except Exception as exc:  # partial results stay cached
-                failures.append((qp, exc))
-                continue
-            cache.put(key, point)
-            points[qp] = point
-            ledger.append(_ledger_record(key, job, point, seconds, cached=False))
+            write(settle(*futures[fut], fut.result))
 
     if failures:
         failures.sort(key=lambda f: f[0])
         qp, exc = failures[0]
         more = f" (+{len(failures) - 1} more)" if len(failures) > 1 else ""
-        raise SweepError(f"encode failed at qp={qp}, k={k}{more}: {exc}") from exc
+        error = SweepError(f"encode failed at qp={qp}, k={k}{more}: {exc}")
+        error.fresh_encodes = len(pending)
+        raise error from exc
 
     curve = RDCurve(
         clip_id=clip_id,
@@ -458,14 +528,15 @@ def run_sweep(
     cache: PointCache | None = None,
     ledger: RunLedger | None = None,
 ) -> RDCurve:
-    """RD curve over the full ladder for one (clip, k), using up to
-    config.workers concurrent encodes and consulting the cache first.
+    """RD curve over the full ladder for one (clip, k), consulting the cache
+    first.  Misses are encoded up to config.workers at a time, or on this
+    thread for an in-process backend.
 
     Without a cache the store of config.cache_dir is used (memory-only when
     that is None); a ledger given without a cache gets a fresh index.
     """
     cache, ledger = _stores(config, cache, ledger)
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+    with _encode_pool(config, backend) as pool:
         curve, _ = _sweep(clip_id, k, config, backend, cache, ledger, pool)
     return curve
 
@@ -511,15 +582,20 @@ def evaluate_cost(
     """BD-Rate of the k-curve against the k=1 reference curve.
 
     k=1 short-circuits to cost 0 with zero invocations; the reference
-    curve already exists by precondition.  Encodes run on `pool`, or on a
-    pool of config.workers threads opened for this call.
+    curve already exists by precondition.  Encodes run on `pool` when one
+    is given; otherwise as in run_sweep.  An RdtuneError raised here
+    carries fresh_encodes, the encodes the failed trial made.
     """
     if _quantize_k(k) == _quantize_k(1.0):
         return TrialRecord(k=1.0, curve=reference_curve, cost=0.0, encoder_invocations=0)
     cache, ledger = _stores(config, cache, ledger)
-    with nullcontext(pool) if pool is not None else ThreadPoolExecutor(config.workers) as pool:
+    with nullcontext(pool) if pool is not None else _encode_pool(config, backend) as pool:
         curve, fresh = _sweep(clip_id, k, config, backend, cache, ledger, pool)
-    cost = bd_rate(reference_curve, curve, min_points=config.min_curve_points)
+    try:
+        cost = bd_rate(reference_curve, curve, min_points=config.min_curve_points)
+    except RdtuneError as exc:
+        exc.fresh_encodes = fresh
+        raise
     return TrialRecord(k=k, curve=curve, cost=cost, encoder_invocations=fresh)
 
 
@@ -604,8 +680,8 @@ class _CostObjective:
     """Memoized cost callback over the optimizer's coordinate.
 
     Arguments are quantized to a 1e-6 grid so re-probes are free.  A
-    failing trial is not caught here: its error ends the search in
-    optimize_clip.
+    failing trial's error ends the search in optimize_clip; only the
+    encodes it made are kept here, in failed_encodes.
     """
 
     def __init__(self, clip_id, config, backend, reference, cache, ledger, pool, log_domain: bool):
@@ -618,6 +694,7 @@ class _CostObjective:
         self.pool = pool
         self.log_domain = log_domain
         self.trials: list[TrialRecord] = []
+        self.failed_encodes = 0
         self._memo: dict[int, float] = {}
 
     def __call__(self, coord: float) -> float:
@@ -625,10 +702,14 @@ class _CostObjective:
         if grid in self._memo:
             return self._memo[grid]
         k = math.exp(coord) if self.log_domain else coord
-        trial = evaluate_cost(
-            self.clip_id, k, self.reference, self.config, self.backend, self.cache,
-            self.ledger, pool=self.pool,
-        )
+        try:
+            trial = evaluate_cost(
+                self.clip_id, k, self.reference, self.config, self.backend, self.cache,
+                self.ledger, pool=self.pool,
+            )
+        except RdtuneError as exc:
+            self.failed_encodes += getattr(exc, "fresh_encodes", 0)
+            raise
         self.trials.append(trial)
         self._memo[grid] = trial.cost
         return trial.cost
@@ -652,13 +733,16 @@ def optimize_clip(
     k-hat is always the best trial evaluated, including the k=1 baseline,
     and stop_reason records why the search ended.  A failed reference
     sweep propagates, since no result can be reported without the k=1
-    curve.  Every sweep of the call runs its encodes on one pool of
-    config.workers threads; the store is chosen as in run_sweep.
+    curve.  total_invocations also counts the encodes of a probe that
+    failed.  For a backend over child processes every sweep of the call
+    runs its encodes on one pool of config.workers threads; an in-process
+    backend's run on the calling thread.  The store is chosen as in
+    run_sweep.
     """
     cache, ledger = _stores(config, cache, ledger)
     log_domain = optimizer.search_domain is SearchDomain.LOGARITHMIC
     to_coord = math.log if log_domain else (lambda v: v)
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+    with _encode_pool(config, backend) as pool:
         reference, _ = _sweep(clip_id, 1.0, config, backend, cache, ledger, pool)
         objective = _CostObjective(
             clip_id, config, backend, reference, cache, ledger, pool, log_domain
@@ -684,7 +768,7 @@ def optimize_clip(
         trials.insert(0, TrialRecord(k=1.0, curve=reference, cost=0.0, encoder_invocations=0))
 
     iterations = sum(1 for t in trials if _quantize_k(t.k) != _quantize_k(1.0))
-    total_invocations = sum(t.encoder_invocations for t in trials)
+    total_invocations = sum(t.encoder_invocations for t in trials) + objective.failed_encodes
     best = min(trials, key=lambda t: (t.cost, abs(math.log(t.k))))
 
     if _quantize_k(best.k) == _quantize_k(1.0) or best.cost >= 0.0:

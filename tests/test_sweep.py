@@ -7,6 +7,7 @@ import shutil
 import sys
 import tempfile
 import threading
+import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -47,6 +48,50 @@ def av1_config(**kwargs):
 
 def synthetic_backend(clip_id="clip", **model_kwargs):
     return SyntheticEncoder(SyntheticClipModel(**model_kwargs), clip_id)
+
+
+def pooled(backend):
+    """The backend with its encodes dispatched to the encode pool, as for a
+    backend over child processes."""
+    backend.in_process = False
+    return backend
+
+
+class CountingPool(ThreadPoolExecutor):
+    """A pool that counts the tasks submitted to it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.submitted = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(fn, *args, **kwargs)
+
+
+@pytest.fixture
+def opened_pools(monkeypatch):
+    """Every pool the sweep module opens from here on, in order."""
+    opened = []
+
+    def open_pool(*args, **kwargs):
+        opened.append(CountingPool(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(sweep, "ThreadPoolExecutor", open_pool)
+    return opened
+
+
+class PooledDispatch:
+    """Runs every test of a class with SyntheticEncoder's encodes on the
+    encode pool, the path of backends over child processes, and checks
+    that a pool was opened."""
+
+    @pytest.fixture(autouse=True)
+    def pooled_dispatch(self, monkeypatch, opened_pools):
+        monkeypatch.setattr(SyntheticEncoder, "in_process", False)
+        yield
+        assert opened_pools
 
 
 class FlakyBackend(SyntheticEncoder):
@@ -259,10 +304,14 @@ class TestPointCache:
         errors: list[BaseException] = []
         done = threading.Event()
 
+        def batch(w, i):
+            # Writers 2 and 3 append two records per call.
+            return [{"cache_key": f"w{w}-{i}-{j}", "pad": pad} for j in range(1 + w // 2)]
+
         def writer(w):
             try:
                 for i in range(25):
-                    ledgers[w % 2].append({"cache_key": f"w{w}-{i}", "pad": pad})
+                    ledgers[w % 2].append(*batch(w, i))
             except BaseException as exc:
                 errors.append(exc)
 
@@ -290,10 +339,16 @@ class TestPointCache:
         assert not any(t.is_alive() for t in writers + [reopen])
         assert errors == []
         records = RunLedger.load(path)
-        assert sorted(r["cache_key"] for r in records) == sorted(
-            f"w{w}-{i}" for w in range(4) for i in range(25)
+        keys = [r["cache_key"] for r in records]
+        assert sorted(keys) == sorted(
+            r["cache_key"] for w in range(4) for i in range(25) for r in batch(w, i)
         )
         assert all(r["pad"] == pad for r in records)
+        # The records of one append are adjacent.
+        for w in (2, 3):
+            for i in range(25):
+                at = keys.index(f"w{w}-{i}-0")
+                assert keys[at + 1] == f"w{w}-{i}-1"
 
     def test_second_instance_sees_appends_on_a_miss(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
@@ -332,7 +387,9 @@ class TestPointCache:
 class TestStoreAndPool:
     def test_ledger_parsed_once_across_clips(self, tmp_path, monkeypatch):
         # Clips optimised one call at a time over one cache dir share one
-        # store, so each ledger line is read once, not once per clip.
+        # store, so a ledger line is not read once per clip; and the store
+        # holds every point its own process appended, so it reads none of
+        # those lines back, on either dispatch path.
         lines_read = []
         _read_from = RunLedger._read_from
 
@@ -344,10 +401,11 @@ class TestStoreAndPool:
         monkeypatch.setattr(RunLedger, "_read_from", counting)
         config = av1_config(cache_dir=tmp_path)
         for i in range(20):
-            optimize_clip(f"clip{i}", config, synthetic_backend(f"clip{i}"))
+            backend = synthetic_backend(f"clip{i}")
+            optimize_clip(f"clip{i}", config, pooled(backend) if i % 2 else backend)
         records = RunLedger.load(tmp_path / "ledger.jsonl")
         assert len(records) >= 20 * 5 * 5
-        assert sum(lines_read) <= len(records)
+        assert sum(lines_read) == 0
 
     def test_new_cache_dir_releases_old_store(self, tmp_path):
         run_sweep("clip", 1.0, av1_config(cache_dir=tmp_path / "a"), synthetic_backend())
@@ -365,29 +423,52 @@ class TestStoreAndPool:
         assert backend.invocations == 5
         assert len(RunLedger.load(tmp_path / "a" / "ledger.jsonl")) == 5
 
-    def test_one_pool_per_call(self, tmp_path, monkeypatch):
-        opened = []
-
-        class CountingPool(ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                opened.append(self)
-
-        monkeypatch.setattr(sweep, "ThreadPoolExecutor", CountingPool)
+    def test_one_pool_per_call(self, tmp_path, opened_pools):
+        # A backend over child processes: one pool of config.workers threads
+        # per optimize_clip, run_sweep or evaluate_cost call.
+        opened = opened_pools
         config = av1_config(cache_dir=tmp_path)
-        result = optimize_clip("clip", config, synthetic_backend())
+        result = optimize_clip("clip", config, pooled(synthetic_backend()))
         assert result.iterations > 3
         assert len(opened) == 1
         assert opened[0]._max_workers == config.workers
 
-        reference = run_sweep("clip", 1.0, config, synthetic_backend())
+        reference = run_sweep("clip", 1.0, config, pooled(synthetic_backend()))
         assert len(opened) == 2
-        evaluate_cost("clip", 1.7, reference, config, synthetic_backend())
+        evaluate_cost("clip", 1.7, reference, config, pooled(synthetic_backend()))
         assert len(opened) == 3
         with ThreadPoolExecutor(2) as pool:
-            trial = evaluate_cost("clip", 1.9, reference, config, synthetic_backend(), pool=pool)
+            trial = evaluate_cost("clip", 1.9, reference, config, pooled(synthetic_backend()), pool=pool)
         assert trial.encoder_invocations == 5
         assert len(opened) == 3
+
+    def test_in_process_backend_opens_no_pool(self, tmp_path, opened_pools):
+        # SyntheticEncoder's encodes run in ladder order on the calling
+        # thread, and no pool is opened for them.
+        calls = []
+
+        class Recording(SyntheticEncoder):
+            def measure(self, job):
+                calls.append((threading.get_ident(), job.k, job.qp))
+                return super().measure(job)
+
+        config = av1_config(cache_dir=tmp_path)
+        backend = Recording(SyntheticClipModel(), "clip")
+        result = optimize_clip("clip", config, backend)
+        reference = run_sweep("clip", 1.0, config, backend)
+        evaluate_cost("clip", 1.7, reference, config, backend)
+        assert opened_pools == []
+        assert len(calls) == 5 + result.total_invocations + 5
+        assert {ident for ident, _, _ in calls} == {threading.get_ident()}
+        for at in range(0, len(calls), 5):
+            assert [qp for _, _, qp in calls[at:at + 5]] == list(config.qp_ladder)
+
+        # A pool passed to evaluate_cost is used, whatever the backend.
+        for k, backend in ((1.9, synthetic_backend()), (2.1, pooled(synthetic_backend()))):
+            with CountingPool(2) as pool:
+                trial = evaluate_cost("clip", k, reference, config, backend, pool=pool)
+            assert trial.encoder_invocations == 5
+            assert pool.submitted == 5
 
     def test_work_dir_is_private_to_the_process(self, tmp_path):
         work_dirs = set()
@@ -452,6 +533,7 @@ class TestRunSweep:
         with pytest.raises(SweepError, match=r"qp=49, k=1\.3"):
             run_sweep("clip", 1.3, config, backend)
         assert backend.invocations == 5 + 1
+        assert len(RunLedger.load(tmp_path / "ledger.jsonl")) == 4
         # Partials are cached: the retry only dispatches the failed point.
         retry_backend = synthetic_backend()
         run_sweep("clip", 1.3, config, retry_backend)
@@ -461,6 +543,118 @@ class TestRunSweep:
         a = run_sweep("clip", 1.5, av1_config(cache_dir=tmp_path / "a", workers=1), synthetic_backend())
         b = run_sweep("clip", 1.5, av1_config(cache_dir=tmp_path / "b", workers=5), synthetic_backend())
         assert a == b
+
+
+class TestRunSweepPooled(PooledDispatch, TestRunSweep):
+    pass
+
+
+class TestLedgerBatching:
+    @pytest.mark.parametrize(
+        "in_process, cold, warm, failed",
+        [(True, [5], [5], [4]), (False, [1] * 5, [5], [1] * 4)],
+        ids=["inline", "pooled"],
+    )
+    def test_records_per_append(self, tmp_path, monkeypatch, in_process, cold, warm, failed):
+        # Inline, a sweep's records go to the ledger in one append: hits,
+        # fresh points, and the partials of a failed sweep before it
+        # raises.  Pooled, the hits go in one append and each fresh point
+        # in its own.
+        appends = []
+        append = RunLedger.append
+
+        def counting(self, *records):
+            appends.append(len(records))
+            return append(self, *records)
+
+        monkeypatch.setattr(RunLedger, "append", counting)
+        config = av1_config(cache_dir=tmp_path)
+
+        def backend(b):
+            return b if in_process else pooled(b)
+
+        for k, flaky, expected in ((1.0, False, cold), (1.0, False, warm), (1.3, True, failed)):
+            appends.clear()
+            if flaky:
+                b = backend(FlakyBackend(SyntheticClipModel(), "clip", fail_qp=49, failures=2))
+                with pytest.raises(SweepError):
+                    run_sweep("clip", k, config, b)
+            else:
+                run_sweep("clip", k, config, backend(synthetic_backend()))
+            assert appends == expected
+        assert len(RunLedger.load(tmp_path / "ledger.jsonl")) == 5 + 5 + 4
+
+    def test_pooled_encode_is_written_when_it_completes(self, tmp_path):
+        # A backend over child processes may take minutes per encode: each
+        # finished one is in the ledger while the sweep still waits on
+        # another, so a run killed then loses none of them.
+        release = threading.Event()
+
+        class Blocking(SyntheticEncoder):
+            in_process = False
+
+            def measure(self, job):
+                if job.qp == 63 and not release.wait(timeout=60.0):
+                    raise EncodeFailure("never released")
+                return super().measure(job)
+
+        path = tmp_path / "ledger.jsonl"
+        errors: list[BaseException] = []
+
+        def run():
+            try:
+                run_sweep("clip", 1.0, av1_config(cache_dir=tmp_path), Blocking(SyntheticClipModel(), "clip"))
+            except BaseException as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        try:
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline:
+                if path.exists() and len(RunLedger.load(path)) >= 4:
+                    break
+                time.sleep(0.005)
+            assert sorted(r["qp"] for r in RunLedger.load(path)) == [27, 39, 49, 59]
+            assert thread.is_alive()
+        finally:
+            release.set()
+            thread.join(timeout=60.0)
+        assert not thread.is_alive()
+        assert errors == []
+        assert sorted(r["qp"] for r in RunLedger.load(path)) == [27, 39, 49, 59, 63]
+
+    def test_append_returns_its_span(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        ledger = RunLedger(path)
+        first = ledger.append({"cache_key": "a"})
+        assert first == (0, path.stat().st_size)
+        start, end = ledger.append({"cache_key": "b"}, {"cache_key": "c"})
+        assert (start, end) == (first[1], path.stat().st_size)
+        assert [json.loads(line)["cache_key"] for line in path.read_bytes()[start:end].splitlines()] == ["b", "c"]
+        # After a torn tail is cut off, or a parsing one ended, the span
+        # starts where the new records do.
+        for tail, kept in ((b'{"cache_key": "t', 0), (b'{"cache_key": "u"}', 1)):
+            size = path.stat().st_size
+            with path.open("ab") as fh:
+                fh.write(tail)
+            span = ledger.append({"cache_key": "d"})
+            assert span == (size + kept * (len(tail) + 1), path.stat().st_size)
+            assert json.loads(path.read_bytes()[span[0]:span[1]]) == {"cache_key": "d"}
+        assert RunLedger(None).append({"cache_key": "e"}) == (0, 0)
+
+    def test_append_to_another_ledger_skips_nothing(self, tmp_path):
+        # A sweep writing to a ledger other than its store's must not mark
+        # the store's own file read, however the offsets line up.
+        config = av1_config(cache_dir=tmp_path)
+        store = PointCache(RunLedger(tmp_path / "a.jsonl"))
+        elsewhere = RunLedger(tmp_path / "b.jsonl")
+        run_sweep("clip", 1.0, config, synthetic_backend(), cache=store, ledger=elsewhere)
+        # Another writer then appends k=2 points to the store's file.
+        run_sweep("clip", 2.0, config, synthetic_backend(), cache=PointCache(RunLedger(tmp_path / "a.jsonl")))
+        backend = synthetic_backend()
+        run_sweep("clip", 2.0, config, backend, cache=store, ledger=elsewhere)
+        assert backend.invocations == 0
 
 
 class TestRunLedger:
@@ -668,6 +862,8 @@ class TestOptimizeClip:
         assert backend.invocations == 5 + 5
         assert result.stop_reason == "failed_probe"
         assert result.k_hat == 1.0
+        # The failed probe's encodes are counted.
+        assert result.total_invocations == 5
 
     def test_stop_reason_max_iters(self, tmp_path):
         optimizer = replace(DEFAULT_OPTIMIZER, xtol=1e-9, max_iters=3)
@@ -701,6 +897,10 @@ class TestOptimizeClip:
         path = tmp_path / "old.json"
         path.write_text(json.dumps(doc))
         assert load_result(path) == replace(result, stop_reason="unknown")
+
+
+class TestOptimizeClipPooled(PooledDispatch, TestOptimizeClip):
+    pass
 
 
 class TestBudget:
