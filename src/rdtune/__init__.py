@@ -15,7 +15,6 @@ from .errors import (
     ExtrapolationError,
     InsufficientPointsError,
     LadderMismatchError,
-    LambdaConfigError,
     ManifestError,
     MetricReportError,
     MissingPointError,
@@ -25,17 +24,7 @@ from .errors import (
     SweepError,
     TemplateError,
 )
-from .lambda_model import (
-    Av1LambdaParams,
-    CodecId,
-    FrameTypeGroup,
-    LambdaScope,
-    default_qdc_table,
-    lambda_default,
-    load_qdc_table,
-    scale_lambda,
-    validate_qp,
-)
+from .lambda_model import CodecId, FrameTypeGroup, LambdaScope, validate_qp
 from .pchip import PchipInterpolant, pchip_eval, pchip_fit
 from .rd_curve import (
     OverlapInterval,
@@ -54,7 +43,6 @@ from .scalar_opt import (
     Bracket,
     OptimizerConfig,
     OptimizerTrace,
-    SearchDomain,
     bracket_minimum,
     brent_minimize,
 )
@@ -76,7 +64,6 @@ from .sweep import (
     DEFAULT_K_SEEDS,
     DEFAULT_OPTIMIZER,
     DEFAULT_QP_LADDERS,
-    InvocationBudget,
     OptimizationResult,
     PointCache,
     RunLedger,
@@ -87,7 +74,6 @@ from .sweep import (
     evaluate_cost,
     load_result,
     optimize_clip,
-    predict_budget,
     run_sweep,
     save_result,
 )

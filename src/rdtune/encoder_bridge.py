@@ -131,8 +131,8 @@ class EncodeJob:
         if not validate_qp(self.codec, self.qp):
             lo, hi = self.codec.qp_range
             raise QpRangeError(f"qp {self.qp} outside [{lo}, {hi}] for {self.codec.value}")
-        if self.k <= 0.0:
-            raise DomainError(f"scale factor k must be positive, got {self.k}")
+        if not (self.k > 0.0 and math.isfinite(self.k)):
+            raise DomainError(f"scale factor k must be positive and finite, got {self.k}")
         if not self.group.valid_for(self.codec):
             raise DomainError(
                 f"group {self.group.value} invalid for codec {self.codec.value}"

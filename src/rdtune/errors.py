@@ -9,10 +9,6 @@ class QpRangeError(RdtuneError, ValueError):
     """Quantizer parameter outside the codec's valid range."""
 
 
-class LambdaConfigError(RdtuneError):
-    """Invalid or incomplete lambda-model configuration (LUT, constants)."""
-
-
 class DomainError(RdtuneError, ValueError):
     """Numeric argument outside the mathematical domain of an operation."""
 

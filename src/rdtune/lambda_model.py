@@ -1,36 +1,21 @@
-"""Codec quantizer-to-Lagrangian relationships and per-clip scaling.
+"""Codec identities and the targeting of the Lagrange-multiplier scale k.
 
-Modern encoders pick their rate-distortion trade-off weight (lambda) from
-the quantizer through a fixed empirical fit.  This module holds the two
-fits used here and the single knob this project tunes: a positive scale
-factor k applied as lambda = k * lambda0.
-
-Real patched encoders receive k directly on their command line and apply
-their own internal lambda0; the values computed here are for reporting and
-for the synthetic encoder model.
+A patched encoder applies k to its own quantizer-derived lambda0 (lambda =
+k * lambda0) for the frame types and decisions selected here; rdtune only
+chooses k, so it never computes lambda itself.  This module names the
+codecs with their quantizer ranges, the frame-type groups and the scopes
+that k can target.
 """
 
 from __future__ import annotations
 
-import csv
-import math
-from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
-from pathlib import Path
-
-from .errors import DomainError, LambdaConfigError, QpRangeError
 
 __all__ = [
     "CodecId",
     "FrameTypeGroup",
     "LambdaScope",
-    "Av1LambdaParams",
     "validate_qp",
-    "lambda_default",
-    "scale_lambda",
-    "load_qdc_table",
-    "default_qdc_table",
 ]
 
 
@@ -99,137 +84,7 @@ class LambdaScope(Enum):
         raise ValueError(f"unknown scope {text!r}; expected Top or Partition")
 
 
-_A_RANGE = (3.2, 3.3)
-
-
-@dataclass(frozen=True)
-class Av1LambdaParams:
-    """Parameters of the AV1 quantizer-to-lambda fit.
-
-    qdc_table maps the command-line quantizer index q_i in [0, 63] to the
-    DC quantizer step value; a_key / a_inter are the frame-type constants
-    of the fit, both constrained to [3.2, 3.3].
-    """
-
-    qdc_table: tuple[float, ...]
-    a_key: float = 3.3
-    a_inter: float = 3.2
-
-    def __post_init__(self) -> None:
-        lo, hi = CodecId.AV1.qp_range
-        n = hi - lo + 1
-        if len(self.qdc_table) != n:
-            raise LambdaConfigError(
-                f"qdc_table must cover q_i {lo}..{hi} ({n} entries), got {len(self.qdc_table)}"
-            )
-        prev = 0.0
-        for q, value in enumerate(self.qdc_table):
-            if value <= 0.0:
-                raise LambdaConfigError(f"qdc_table[{q}] = {value}; values must be positive")
-            if value < prev:
-                raise LambdaConfigError(f"qdc_table[{q}] = {value} decreases from {prev}")
-            prev = value
-        for name, a in (("a_key", self.a_key), ("a_inter", self.a_inter)):
-            if not (_A_RANGE[0] <= a <= _A_RANGE[1]):
-                raise LambdaConfigError(
-                    f"{name} = {a} outside the valid range [{_A_RANGE[0]}, {_A_RANGE[1]}]"
-                )
-
-    def a_for(self, frame_type: str = "inter") -> float:
-        if frame_type not in ("key", "inter"):
-            raise LambdaConfigError(f"unknown frame type {frame_type!r}; expected 'key' or 'inter'")
-        return self.a_key if frame_type == "key" else self.a_inter
-
-
 def validate_qp(codec: CodecId, qp: int) -> bool:
     """True iff qp lies in the codec's closed quantizer range."""
     lo, hi = codec.qp_range
     return lo <= qp <= hi
-
-
-# 2^(r/3) for r = 0, 1, 2; combined with an exact power-of-two scale this
-# makes lambda(qp + 3) == 2 * lambda(qp) hold exactly in floating point.
-_HEVC_THIRD_OCTAVE = (1.0, 2.0 ** (1.0 / 3.0), 2.0 ** (2.0 / 3.0))
-
-
-def lambda_default(
-    codec: CodecId,
-    qp: int,
-    params: Av1LambdaParams | None = None,
-    frame_type: str = "inter",
-) -> float:
-    """Default lambda0 for a codec at a given quantizer.
-
-    HEVC:  lambda0 = 0.57 * 2^((qp - 12) / 3)
-    AV1:   lambda0 = q_dc^2 * (A + 0.0035 * qp),  q_dc = qdc_table[qp]
-
-    AV1 requires params; frame_type selects which A constant applies.
-    """
-    if not validate_qp(codec, qp):
-        lo, hi = codec.qp_range
-        raise QpRangeError(f"qp {qp} outside [{lo}, {hi}] for {codec.value}")
-    if codec is CodecId.HEVC:
-        octaves, rem = divmod(qp - 12, 3)
-        return math.ldexp(0.57 * _HEVC_THIRD_OCTAVE[rem], octaves)
-    if params is None:
-        raise LambdaConfigError("AV1 lambda requires Av1LambdaParams with a qdc_table")
-    qdc = params.qdc_table[qp]
-    return qdc * qdc * (params.a_for(frame_type) + 0.0035 * qp)
-
-
-def scale_lambda(lambda0: float, k: float) -> float:
-    """Apply the per-clip scale: lambda = k * lambda0."""
-    if lambda0 <= 0.0:
-        raise DomainError(f"lambda0 must be positive, got {lambda0}")
-    if k <= 0.0:
-        raise DomainError(f"scale factor k must be positive, got {k}")
-    return k * lambda0
-
-
-def load_qdc_table(path: Path | str) -> tuple[float, ...]:
-    """Read a q_dc lookup table from a two-column CSV.
-
-    Schema: header row required, columns (q_i, q_dc), one row per
-    q_i in [0, 63].  Values must be positive and non-decreasing.
-    """
-    path = Path(path)
-    try:
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise LambdaConfigError(f"{path}: empty q_dc table") from None
-            if [c.strip().lower() for c in header[:2]] != ["q_i", "q_dc"]:
-                raise LambdaConfigError(
-                    f"{path}: expected header 'q_i,q_dc', got {','.join(header)!r}"
-                )
-            entries: dict[int, float] = {}
-            for row in reader:
-                if not row or not row[0].strip():
-                    continue
-                try:
-                    q, value = int(row[0]), float(row[1])
-                except (IndexError, ValueError):
-                    raise LambdaConfigError(f"{path}: malformed row {row!r}") from None
-                if q in entries:
-                    raise LambdaConfigError(f"{path}: duplicate entry for q_i={q}")
-                entries[q] = value
-    except OSError as exc:
-        raise LambdaConfigError(f"cannot read q_dc table {path}: {exc}") from exc
-    lo, hi = CodecId.AV1.qp_range
-    missing = [q for q in range(lo, hi + 1) if q not in entries]
-    if missing:
-        raise LambdaConfigError(f"{path}: missing q_i entries {missing[:8]}...")
-    return tuple(entries[q] for q in range(lo, hi + 1))
-
-
-def default_qdc_table() -> tuple[float, ...]:
-    """The packaged q_dc fixture.
-
-    A synthetic monotone stand-in (round(4 * 2^(q/7.6))) for desk-scale
-    testing; production runs should load the table that matches their
-    encoder build and bit depth via load_qdc_table.
-    """
-    with resources.as_file(resources.files("rdtune.data") / "qdc_fixture.csv") as p:
-        return load_qdc_table(p)

@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable
 
 from .errors import BracketError
 
 __all__ = [
-    "SearchDomain",
     "Bracket",
     "OptimizerConfig",
     "OptimizerTrace",
@@ -28,11 +26,6 @@ __all__ = [
 _GOLDEN = 0.3819660112501051  # 2 - phi
 _EXPAND = 1.618033988749895  # phi
 _ZEPS = 1e-11
-
-
-class SearchDomain(Enum):
-    LINEAR = "linear"
-    LOGARITHMIC = "logarithmic"
 
 
 @dataclass(frozen=True)
@@ -59,7 +52,6 @@ class Bracket:
 class OptimizerConfig:
     xtol: float = 1e-4
     max_iters: int = 50
-    search_domain: SearchDomain = SearchDomain.LINEAR
 
     def __post_init__(self) -> None:
         if self.xtol <= 0.0:

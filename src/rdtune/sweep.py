@@ -19,7 +19,7 @@ one pool of config.workers threads per optimize_clip or run_sweep call:
 the sweep's hits go to the ledger in one write, and each fresh point as
 soon as its encode completes, so a killed run loses no finished encode.
 
-The search runs bracketing plus Brent over log k by default.  It has one
+The search runs bracketing plus Brent over ln k.  It has one
 failure rule: any RdtuneError raised while bracketing or refining (a probe
 whose sweep or BD-Rate fails, or no bracket inside the k bounds) ends the
 search, and k-hat is the best trial evaluated up to then, including the
@@ -58,13 +58,7 @@ from .rd_curve import (
     mean_matched_savings,
     mean_vmaf_delta,
 )
-from .scalar_opt import (
-    BracketError,
-    OptimizerConfig,
-    SearchDomain,
-    bracket_minimum,
-    brent_minimize,
-)
+from .scalar_opt import BracketError, OptimizerConfig, bracket_minimum, brent_minimize
 
 __all__ = [
     "DEFAULT_QP_LADDERS",
@@ -72,7 +66,6 @@ __all__ = [
     "SweepConfig",
     "TrialRecord",
     "OptimizationResult",
-    "InvocationBudget",
     "EncoderBackend",
     "PointCache",
     "RunLedger",
@@ -80,7 +73,6 @@ __all__ = [
     "run_sweep",
     "evaluate_cost",
     "optimize_clip",
-    "predict_budget",
     "curves_from_ledger",
     "save_result",
     "load_result",
@@ -91,9 +83,7 @@ DEFAULT_QP_LADDERS: dict[CodecId, tuple[int, ...]] = {
     CodecId.HEVC: (22, 27, 32, 37, 42),
 }
 
-DEFAULT_OPTIMIZER = OptimizerConfig(
-    xtol=0.01, max_iters=25, search_domain=SearchDomain.LOGARITHMIC
-)
+DEFAULT_OPTIMIZER = OptimizerConfig(xtol=0.01, max_iters=25)
 
 # Default multiplicative search window and downhill seeds for k.
 DEFAULT_K_BOUNDS = (1.0 / 16.0, 16.0)
@@ -137,7 +127,6 @@ class SweepConfig:
     qp_ladder: tuple[int, ...] | None = None
     workers: int = 5
     cache_dir: Path | None = None
-    min_curve_points: int = 4
 
     def __post_init__(self) -> None:
         ladder = self.qp_ladder
@@ -358,12 +347,8 @@ def _default_store(cache_dir: Path | None) -> PointCache:
         return store
 
 
-def _stores(
-    config: SweepConfig, cache: PointCache | None, ledger: RunLedger | None
-) -> tuple[PointCache, RunLedger]:
-    if cache is None:
-        cache = PointCache(ledger) if ledger is not None else _default_store(config.cache_dir)
-    return cache, ledger if ledger is not None else cache.ledger
+def _stores(config: SweepConfig, cache: PointCache | None) -> PointCache:
+    return cache or _default_store(config.cache_dir)
 
 
 def cache_key(job: EncodeJob, template_digest: str, clip_digest: str) -> str:
@@ -428,7 +413,6 @@ def _sweep(
     config: SweepConfig,
     backend: EncoderBackend,
     cache: PointCache,
-    ledger: RunLedger,
     pool: ThreadPoolExecutor | None,
 ) -> tuple[RDCurve, int]:
     """Measure the full ladder for one (clip, k), encoding cache misses on
@@ -464,9 +448,7 @@ def _sweep(
 
     def write(records: list[dict]) -> None:
         if records:
-            span = ledger.append(*records)
-            if ledger is cache.ledger:
-                cache._skip(span)
+            cache._skip(cache.ledger.append(*records))
 
     def run_one(job: EncodeJob) -> tuple[RDPoint, float]:
         start = time.perf_counter()
@@ -526,18 +508,17 @@ def run_sweep(
     config: SweepConfig,
     backend: EncoderBackend,
     cache: PointCache | None = None,
-    ledger: RunLedger | None = None,
 ) -> RDCurve:
     """RD curve over the full ladder for one (clip, k), consulting the cache
     first.  Misses are encoded up to config.workers at a time, or on this
     thread for an in-process backend.
 
     Without a cache the store of config.cache_dir is used (memory-only when
-    that is None); a ledger given without a cache gets a fresh index.
+    that is None).
     """
-    cache, ledger = _stores(config, cache, ledger)
+    cache = _stores(config, cache)
     with _encode_pool(config, backend) as pool:
-        curve, _ = _sweep(clip_id, k, config, backend, cache, ledger, pool)
+        curve, _ = _sweep(clip_id, k, config, backend, cache, pool)
     return curve
 
 
@@ -575,7 +556,6 @@ def evaluate_cost(
     config: SweepConfig,
     backend: EncoderBackend,
     cache: PointCache | None = None,
-    ledger: RunLedger | None = None,
     *,
     pool: ThreadPoolExecutor | None = None,
 ) -> TrialRecord:
@@ -588,11 +568,11 @@ def evaluate_cost(
     """
     if _quantize_k(k) == _quantize_k(1.0):
         return TrialRecord(k=1.0, curve=reference_curve, cost=0.0, encoder_invocations=0)
-    cache, ledger = _stores(config, cache, ledger)
+    cache = _stores(config, cache)
     with nullcontext(pool) if pool is not None else _encode_pool(config, backend) as pool:
-        curve, fresh = _sweep(clip_id, k, config, backend, cache, ledger, pool)
+        curve, fresh = _sweep(clip_id, k, config, backend, cache, pool)
     try:
-        cost = bd_rate(reference_curve, curve, min_points=config.min_curve_points)
+        cost = bd_rate(reference_curve, curve)
     except RdtuneError as exc:
         exc.fresh_encodes = fresh
         raise
@@ -677,22 +657,20 @@ def load_result(path: Path | str) -> OptimizationResult:
 
 
 class _CostObjective:
-    """Memoized cost callback over the optimizer's coordinate.
+    """Memoized cost callback over the optimizer's coordinate, ln k.
 
     Arguments are quantized to a 1e-6 grid so re-probes are free.  A
     failing trial's error ends the search in optimize_clip; only the
     encodes it made are kept here, in failed_encodes.
     """
 
-    def __init__(self, clip_id, config, backend, reference, cache, ledger, pool, log_domain: bool):
+    def __init__(self, clip_id, config, backend, reference, cache, pool):
         self.clip_id = clip_id
         self.config = config
         self.backend = backend
         self.reference = reference
         self.cache = cache
-        self.ledger = ledger
         self.pool = pool
-        self.log_domain = log_domain
         self.trials: list[TrialRecord] = []
         self.failed_encodes = 0
         self._memo: dict[int, float] = {}
@@ -701,11 +679,10 @@ class _CostObjective:
         grid = round(coord / 1e-6)
         if grid in self._memo:
             return self._memo[grid]
-        k = math.exp(coord) if self.log_domain else coord
         try:
             trial = evaluate_cost(
-                self.clip_id, k, self.reference, self.config, self.backend, self.cache,
-                self.ledger, pool=self.pool,
+                self.clip_id, math.exp(coord), self.reference, self.config, self.backend,
+                self.cache, pool=self.pool,
             )
         except RdtuneError as exc:
             self.failed_encodes += getattr(exc, "fresh_encodes", 0)
@@ -724,11 +701,10 @@ def optimize_clip(
     k_bounds: tuple[float, float] = DEFAULT_K_BOUNDS,
     k_seeds: tuple[float, float] = DEFAULT_K_SEEDS,
     cache: PointCache | None = None,
-    ledger: RunLedger | None = None,
 ) -> OptimizationResult:
     """Find the scale factor minimizing BD-Rate against the clip's k=1 curve.
 
-    Brackets downhill from the seeds, then runs Brent.  Any RdtuneError
+    Brackets downhill from the seeds, then runs Brent, both over ln k.  Any RdtuneError
     raised on the way (no bracket, or a probe that fails) ends the search;
     k-hat is always the best trial evaluated, including the k=1 baseline,
     and stop_reason records why the search ended.  A failed reference
@@ -739,22 +715,18 @@ def optimize_clip(
     backend's run on the calling thread.  The store is chosen as in
     run_sweep.
     """
-    cache, ledger = _stores(config, cache, ledger)
-    log_domain = optimizer.search_domain is SearchDomain.LOGARITHMIC
-    to_coord = math.log if log_domain else (lambda v: v)
+    cache = _stores(config, cache)
     with _encode_pool(config, backend) as pool:
-        reference, _ = _sweep(clip_id, 1.0, config, backend, cache, ledger, pool)
-        objective = _CostObjective(
-            clip_id, config, backend, reference, cache, ledger, pool, log_domain
-        )
+        reference, _ = _sweep(clip_id, 1.0, config, backend, cache, pool)
+        objective = _CostObjective(clip_id, config, backend, reference, cache, pool)
         try:
             bracket = bracket_minimum(
                 objective,
-                to_coord(k_seeds[0]),
-                to_coord(k_seeds[1]),
+                math.log(k_seeds[0]),
+                math.log(k_seeds[1]),
                 max_expansions=32,
-                lo=to_coord(k_bounds[0]),
-                hi=to_coord(k_bounds[1]),
+                lo=math.log(k_bounds[0]),
+                hi=math.log(k_bounds[1]),
             )
             _, _, trace = brent_minimize(objective, bracket, optimizer)
             stop_reason = "converged" if trace.converged else "max_iters"
@@ -803,31 +775,12 @@ def optimize_clip(
         improved=True,
         rd2_savings=matched_qp_savings(reference, best.curve, config.rd2_qp),
         mean_savings=mean_matched_savings(reference, best.curve),
-        msssim_change_db=bd_quality(reference, best.curve, min_points=config.min_curve_points),
+        msssim_change_db=bd_quality(reference, best.curve),
         vmaf_change=mean_vmaf_delta(reference, best.curve),
         total_invocations=total_invocations,
         trials=tuple(trials),
         reference_curve=reference,
     )
-
-
-@dataclass(frozen=True)
-class InvocationBudget:
-    """PNM accounting: P optimizer iterations, N ladder points, M clips."""
-
-    p: int
-    n: int
-    m: int
-
-    def __post_init__(self) -> None:
-        for name in ("p", "n", "m"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-
-
-def predict_budget(budget: InvocationBudget) -> int:
-    """Predicted encoder invocations for a full run: P*N*M."""
-    return budget.p * budget.n * budget.m
 
 
 def curves_from_ledger(records: list[dict]) -> list[RDCurve]:

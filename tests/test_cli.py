@@ -114,6 +114,17 @@ class TestSweepCommand:
         doc = json.loads(out.read_text())
         assert sorted(p["qp"] for p in doc["points"]) == [30, 40, 50]
 
+    @pytest.mark.parametrize("k", ["inf", "nan", "-inf"])
+    def test_non_finite_k_is_one_error_line(self, tmp_path, capsys, k):
+        status = cli_dispatch([
+            "sweep", "--synthetic", "default", f"--k={k}", "--out", str(tmp_path / "c.json"),
+        ])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and err.startswith("error: sweep: ")
+        assert "finite" in err
+
 
 class TestReportCommand:
     @pytest.fixture

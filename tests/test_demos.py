@@ -13,7 +13,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_all_demos_found():
-    assert len(DEMOS) == 4
+    assert len(DEMOS) == 3
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)

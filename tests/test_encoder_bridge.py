@@ -374,5 +374,6 @@ class TestEncodeJob:
             make_job(codec=CodecId.HEVC, group=FrameTypeGroup.KF)
 
     def test_positive_k(self):
-        with pytest.raises(DomainError):
-            make_job(k=-1.0)
+        for k in (-1.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                make_job(k=k)

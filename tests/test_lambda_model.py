@@ -1,17 +1,6 @@
 import pytest
 
-from rdtune.errors import DomainError, LambdaConfigError, QpRangeError
-from rdtune.lambda_model import (
-    Av1LambdaParams,
-    CodecId,
-    FrameTypeGroup,
-    LambdaScope,
-    default_qdc_table,
-    lambda_default,
-    load_qdc_table,
-    scale_lambda,
-    validate_qp,
-)
+from rdtune.lambda_model import CodecId, FrameTypeGroup, LambdaScope, validate_qp
 
 
 class TestValidateQp:
@@ -29,152 +18,6 @@ class TestValidateQp:
     )
     def test_bounds(self, codec, qp, ok):
         assert validate_qp(codec, qp) is ok
-
-
-class TestHevcLambda:
-    def test_zero_exponent(self):
-        assert lambda_default(CodecId.HEVC, 12) == 0.57
-
-    def test_five_octaves(self):
-        assert lambda_default(CodecId.HEVC, 27) == 18.24
-        assert lambda_default(CodecId.HEVC, 27) == 0.57 * 32
-
-    def test_exact_doubling_every_three_qp(self):
-        for qp in range(0, 49):
-            assert lambda_default(CodecId.HEVC, qp + 3) == 2.0 * lambda_default(CodecId.HEVC, qp)
-
-    def test_strictly_increasing_and_positive(self):
-        values = [lambda_default(CodecId.HEVC, qp) for qp in range(0, 52)]
-        assert all(v > 0.0 for v in values)
-        assert all(b > a for a, b in zip(values, values[1:]))
-
-    def test_out_of_range(self):
-        with pytest.raises(QpRangeError):
-            lambda_default(CodecId.HEVC, 52)
-        with pytest.raises(QpRangeError):
-            lambda_default(CodecId.HEVC, -1)
-
-
-@pytest.fixture(scope="module")
-def params():
-    return Av1LambdaParams(qdc_table=default_qdc_table())
-
-
-class TestAv1Lambda:
-
-    def test_requires_params(self):
-        with pytest.raises(LambdaConfigError):
-            lambda_default(CodecId.AV1, 30)
-
-    def test_lut_value_qdc_8(self, params):
-        # Fixture has entries with q_dc == 8; at those, lambda = 64*(A + 0.0035*q).
-        hits = [q for q, v in enumerate(params.qdc_table) if v == 8.0]
-        assert hits, "fixture should contain q_dc == 8"
-        for q in hits:
-            assert lambda_default(CodecId.AV1, q, params) == pytest.approx(
-                64.0 * (3.2 + 0.0035 * q), rel=1e-12
-            )
-
-    def test_key_frame_constant(self, params):
-        q = 20
-        qdc = params.qdc_table[q]
-        expected = qdc * qdc * (3.3 + 0.0035 * q)
-        assert lambda_default(CodecId.AV1, q, params, frame_type="key") == pytest.approx(expected)
-
-    def test_non_decreasing_in_qp(self, params):
-        values = [lambda_default(CodecId.AV1, qp, params) for qp in range(0, 64)]
-        assert all(v > 0.0 for v in values)
-        assert all(b >= a for a, b in zip(values, values[1:]))
-
-    def test_bad_frame_type(self, params):
-        with pytest.raises(LambdaConfigError):
-            lambda_default(CodecId.AV1, 10, params, frame_type="golden")
-
-
-class TestScaleLambda:
-    def test_identity(self):
-        assert scale_lambda(18.24, 1.0) == 18.24
-
-    def test_doubling(self):
-        assert scale_lambda(18.24, 2.0) == 36.48
-
-    def test_best_clip_scale(self):
-        # k=3.79 was the strongest per-clip scale observed in practice.
-        assert scale_lambda(0.57, 3.79) == pytest.approx(2.1603, rel=1e-12)
-
-    def test_linear_in_k(self):
-        for k in (0.25, 1.5, 7.0):
-            assert scale_lambda(2.0, k) == pytest.approx(k * 2.0, rel=1e-15)
-
-    @pytest.mark.parametrize("lambda0,k", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
-    def test_domain_errors(self, lambda0, k):
-        with pytest.raises(DomainError):
-            scale_lambda(lambda0, k)
-
-
-class TestAv1Params:
-    def test_table_must_cover_range(self):
-        with pytest.raises(LambdaConfigError):
-            Av1LambdaParams(qdc_table=tuple(float(i + 1) for i in range(63)))
-
-    def test_table_positive(self):
-        table = list(default_qdc_table())
-        table[5] = 0.0
-        with pytest.raises(LambdaConfigError):
-            Av1LambdaParams(qdc_table=tuple(table))
-
-    def test_table_non_decreasing(self):
-        table = list(default_qdc_table())
-        table[10] = table[9] - 1.0
-        with pytest.raises(LambdaConfigError):
-            Av1LambdaParams(qdc_table=tuple(table))
-
-    @pytest.mark.parametrize("field,value", [("a_key", 3.31), ("a_inter", 3.19)])
-    def test_a_range(self, field, value):
-        with pytest.raises(LambdaConfigError):
-            Av1LambdaParams(qdc_table=default_qdc_table(), **{field: value})
-
-
-class TestQdcTableLoading:
-    def test_fixture_loads(self):
-        table = default_qdc_table()
-        assert len(table) == 64
-        assert all(v > 0 for v in table)
-        assert all(b >= a for a, b in zip(table, table[1:]))
-
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "table.csv"
-        path.write_text("q_i,q_dc\n" + "\n".join(f"{q},{q + 1}" for q in range(64)) + "\n")
-        assert load_qdc_table(path) == tuple(float(q + 1) for q in range(64))
-
-    def test_header_required(self, tmp_path):
-        path = tmp_path / "table.csv"
-        path.write_text("\n".join(f"{q},{q + 1}" for q in range(64)) + "\n")
-        with pytest.raises(LambdaConfigError, match="header"):
-            load_qdc_table(path)
-
-    def test_missing_rows(self, tmp_path):
-        path = tmp_path / "table.csv"
-        path.write_text("q_i,q_dc\n" + "\n".join(f"{q},{q + 1}" for q in range(40)) + "\n")
-        with pytest.raises(LambdaConfigError, match="missing"):
-            load_qdc_table(path)
-
-    def test_duplicate_rows(self, tmp_path):
-        path = tmp_path / "table.csv"
-        rows = [f"{q},{q + 1}" for q in range(64)] + ["7,9"]
-        path.write_text("q_i,q_dc\n" + "\n".join(rows) + "\n")
-        with pytest.raises(LambdaConfigError, match="duplicate"):
-            load_qdc_table(path)
-
-    def test_malformed_row(self, tmp_path):
-        path = tmp_path / "table.csv"
-        path.write_text("q_i,q_dc\n0,4\nnonsense\n")
-        with pytest.raises(LambdaConfigError, match="malformed"):
-            load_qdc_table(path)
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(LambdaConfigError):
-            load_qdc_table(tmp_path / "nope.csv")
 
 
 class TestEnums:

@@ -7,7 +7,6 @@ from rdtune.errors import BracketError
 from rdtune.scalar_opt import (
     Bracket,
     OptimizerConfig,
-    SearchDomain,
     bracket_minimum,
     brent_minimize,
 )
@@ -152,10 +151,6 @@ class TestBrent:
 
 
 class TestOptimizerConfig:
-    def test_defaults(self):
-        config = OptimizerConfig()
-        assert config.search_domain is SearchDomain.LINEAR
-
     @pytest.mark.parametrize("kwargs", [dict(xtol=0.0), dict(xtol=-1.0), dict(max_iters=2)])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

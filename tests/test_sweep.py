@@ -22,7 +22,6 @@ from rdtune.lambda_model import CodecId, FrameTypeGroup, LambdaScope
 from rdtune.rd_curve import bd_quality, bd_rate, matched_qp_savings, mean_matched_savings, mean_vmaf_delta
 from rdtune.sweep import (
     DEFAULT_OPTIMIZER,
-    InvocationBudget,
     OptimizationResult,
     PointCache,
     RunLedger,
@@ -32,7 +31,6 @@ from rdtune.sweep import (
     evaluate_cost,
     load_result,
     optimize_clip,
-    predict_budget,
     run_sweep,
     save_result,
 )
@@ -643,19 +641,6 @@ class TestLedgerBatching:
             assert json.loads(path.read_bytes()[span[0]:span[1]]) == {"cache_key": "d"}
         assert RunLedger(None).append({"cache_key": "e"}) == (0, 0)
 
-    def test_append_to_another_ledger_skips_nothing(self, tmp_path):
-        # A sweep writing to a ledger other than its store's must not mark
-        # the store's own file read, however the offsets line up.
-        config = av1_config(cache_dir=tmp_path)
-        store = PointCache(RunLedger(tmp_path / "a.jsonl"))
-        elsewhere = RunLedger(tmp_path / "b.jsonl")
-        run_sweep("clip", 1.0, config, synthetic_backend(), cache=store, ledger=elsewhere)
-        # Another writer then appends k=2 points to the store's file.
-        run_sweep("clip", 2.0, config, synthetic_backend(), cache=PointCache(RunLedger(tmp_path / "a.jsonl")))
-        backend = synthetic_backend()
-        run_sweep("clip", 2.0, config, backend, cache=store, ledger=elsewhere)
-        assert backend.invocations == 0
-
 
 class TestRunLedger:
     def _two_records(self, tmp_path):
@@ -904,22 +889,10 @@ class TestOptimizeClipPooled(PooledDispatch, TestOptimizeClip):
 
 
 class TestBudget:
-    def test_reference_accounting(self):
-        assert predict_budget(InvocationBudget(p=9, n=5, m=1)) == 45
-
-    def test_arithmetic(self):
-        assert predict_budget(InvocationBudget(p=10, n=5, m=10)) == 500
-        assert predict_budget(InvocationBudget(p=1, n=1, m=1)) == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            InvocationBudget(p=0, n=5, m=1)
-
     def test_cold_run_matches_budget(self, tmp_path):
         backend = synthetic_backend()
         result = optimize_clip("clip", av1_config(cache_dir=tmp_path), backend)
-        predicted = predict_budget(InvocationBudget(p=result.iterations, n=5, m=1))
-        assert result.total_invocations == predicted
+        assert result.total_invocations == result.iterations * 5
 
 
 class TestLedgerReplay:
