@@ -151,6 +151,11 @@ class TestBrent:
 
 
 class TestOptimizerConfig:
+    def test_defaults(self):
+        config = OptimizerConfig()
+        assert config.xtol == 1e-4
+        assert config.max_iters == 50
+
     @pytest.mark.parametrize("kwargs", [dict(xtol=0.0), dict(xtol=-1.0), dict(max_iters=2)])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

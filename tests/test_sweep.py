@@ -889,6 +889,34 @@ class TestOptimizeClipPooled(PooledDispatch, TestOptimizeClip):
 
 
 class TestBudget:
+    # A cold run costs P*N*M encodes: P probes, N ladder points, M clips.
+    # The k=1 reference sweep is outside that count.
+    def test_reference_accounting(self, tmp_path):
+        backend = synthetic_backend()
+        result = optimize_clip("clip", av1_config(cache_dir=tmp_path), backend)
+        (reference,) = [t for t in result.trials if t.k == 1.0]
+        assert reference.encoder_invocations == 0
+        assert reference.curve == result.reference_curve
+        assert result.iterations == len(result.trials) - 1
+        assert backend.invocations == result.total_invocations + 5
+
+    def test_arithmetic(self, tmp_path):
+        # N is the ladder length, not a fixed 5.
+        config = av1_config(cache_dir=tmp_path, qp_ladder=(27, 39, 49, 59))
+        result = optimize_clip("clip", config, synthetic_backend())
+        assert result.iterations > 0
+        assert result.total_invocations == result.iterations * 4
+        assert all(t.encoder_invocations == 4 for t in result.trials if t.k != 1.0)
+
+    def test_validation(self, tmp_path):
+        # Over M clips sharing one store, the summed counts match what the
+        # encoders ran: no clip reuses another's points.
+        config = av1_config(cache_dir=tmp_path)
+        backends = [synthetic_backend(clip) for clip in ("a", "b")]
+        results = [optimize_clip(b.clip_id, config, b) for b in backends]
+        assert sum(r.total_invocations for r in results) == 5 * sum(r.iterations for r in results)
+        assert sum(b.invocations for b in backends) == sum(r.total_invocations for r in results) + 2 * 5
+
     def test_cold_run_matches_budget(self, tmp_path):
         backend = synthetic_backend()
         result = optimize_clip("clip", av1_config(cache_dir=tmp_path), backend)
