@@ -39,8 +39,9 @@ print(f"\nfit span: [{lo:.2f}, {hi:.2f}] dB; rate at {mid:.2f} dB ="
 # fewer bits at equal quality), plus the matched-QP views of the same
 # comparison.
 
-span = rt.overlap_interval(reference, candidate)
-print(f"\noverlap interval: [{span.d1:.2f}, {span.d2:.2f}] dB")
+d1 = max(reference.points[0].msssim_db, candidate.points[0].msssim_db)
+d2 = min(reference.points[-1].msssim_db, candidate.points[-1].msssim_db)
+print(f"\noverlap interval: [{d1:.2f}, {d2:.2f}] dB")
 print(f"bd_rate          : {rt.bd_rate(reference, candidate):8.3f} %")
 print(f"bd_quality       : {rt.bd_quality(reference, candidate):8.3f} dB")
 print(f"mean matched     : {rt.mean_matched_savings(reference, candidate):8.3f} %")

@@ -27,7 +27,6 @@ from .errors import (
 from .lambda_model import CodecId, FrameTypeGroup, LambdaScope, validate_qp
 from .pchip import PchipInterpolant, pchip_eval, pchip_fit
 from .rd_curve import (
-    OverlapInterval,
     RDCurve,
     RDPoint,
     bd_quality,
@@ -37,7 +36,6 @@ from .rd_curve import (
     mean_matched_savings,
     mean_vmaf_delta,
     msssim_to_db,
-    overlap_interval,
 )
 from .scalar_opt import (
     Bracket,
@@ -60,8 +58,6 @@ from .encoder_bridge import (
     synth_encode,
 )
 from .sweep import (
-    DEFAULT_K_BOUNDS,
-    DEFAULT_K_SEEDS,
     DEFAULT_OPTIMIZER,
     DEFAULT_QP_LADDERS,
     OptimizationResult,

@@ -65,6 +65,8 @@ def _scope(text: str) -> LambdaScope:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", type=Path, default=None, help="output file (or directory)")
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--manifest", type=Path, help="clip manifest JSON (array of clip entries)")
     shared.add_argument("--codec", type=_codec, default=CodecId.AV1, help="AV1 or HEVC")
@@ -73,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="frame-type group receiving k (e.g. KF_GF_ARF, IFrames)")
     shared.add_argument("--scope", type=_scope, default=LambdaScope.TOP,
                         help="Top (all RD decisions) or Partition (partitioning only)")
-    shared.add_argument("--k", type=float, default=1.0, help="scale factor for sweeps")
     shared.add_argument("--workers", type=int, default=5,
                         help="concurrent encoder child processes per sweep; "
                              "no effect with --synthetic, whose encodes run in-process")
@@ -86,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--synthetic", default=None, metavar="MODEL",
                         help="'default' or a JSON model file; replaces real encoders")
     shared.add_argument("--clip", default=None, help="clip id (defaults to all manifest clips)")
-    shared.add_argument("--out", type=Path, default=None, help="output file (or directory)")
 
     parser = argparse.ArgumentParser(
         prog="rdtune",
@@ -94,23 +94,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sweep", parents=[shared], help="measure an RD curve at one k")
+    p = sub.add_parser("sweep", parents=[shared, out], help="measure an RD curve at one k")
+    p.add_argument("--k", type=float, default=1.0, help="scale factor of the sweep")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("optimize", parents=[shared], help="search for the best k per clip")
+    p = sub.add_parser("optimize", parents=[shared, out], help="search for the best k per clip")
     p.set_defaults(func=_cmd_optimize)
 
-    p = sub.add_parser("bdrate", parents=[shared], help="BD-Rate of a test curve vs a reference")
+    p = sub.add_parser("bdrate", help="BD-Rate of a test curve vs a reference")
     p.add_argument("reference", type=Path, help="reference curve JSON")
     p.add_argument("test", type=Path, help="test curve JSON")
     p.set_defaults(func=_cmd_bdrate)
 
-    p = sub.add_parser("report", parents=[shared], help="summary table over result files")
+    p = sub.add_parser("report", parents=[out], help="summary table over result files")
     p.add_argument("results", type=Path, nargs="+", help="OptimizationResult JSON files")
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("plot", parents=[shared], help="SVG plot of RD curves")
+    p = sub.add_parser("plot", parents=[out], help="SVG plot of RD curves")
     p.add_argument("curves", type=Path, nargs="+", help="curve JSON files")
     p.add_argument("--title", default="")
     p.set_defaults(func=_cmd_plot)

@@ -124,7 +124,6 @@ class EncodeJob:
     k: float
     group: FrameTypeGroup
     scope: LambdaScope
-    input_path: Path | None = None
     work_dir: Path | None = None
 
     def __post_init__(self) -> None:
@@ -440,9 +439,6 @@ class SyntheticEncoder:
     def template_digest(self) -> str:
         return "synthetic:" + self._digest
 
-    def input_path(self, clip_id: str) -> Path | None:
-        return None
-
 
 class ExternalEncoder:
     """Backend that shells out (shell-free) to a patched encoder and a
@@ -494,6 +490,3 @@ class ExternalEncoder:
 
     def template_digest(self) -> str:
         return self.templates.digest()
-
-    def input_path(self, clip_id: str) -> Path | None:
-        return self._clip(clip_id).path

@@ -19,7 +19,6 @@ ever.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -39,10 +38,8 @@ from .pchip import PchipInterpolant, pchip_fit
 __all__ = [
     "RDPoint",
     "RDCurve",
-    "OverlapInterval",
     "msssim_to_db",
     "db_to_msssim",
-    "overlap_interval",
     "bd_rate",
     "bd_quality",
     "matched_qp_savings",
@@ -53,6 +50,10 @@ __all__ = [
 # Above this score (90 dB), 1 - msssim has lost enough precision that the
 # dB consistency check would mostly measure rounding noise.
 _SCORE_CHECK_LIMIT = 1.0 - 1e-9
+
+# Fewest points per curve for a BD metric, as in Bjontegaard's cubic fit
+# through four points; fewer leave the fit too loosely pinned to trust.
+_MIN_POINTS = 4
 
 
 def msssim_to_db(score: float) -> float:
@@ -224,50 +225,6 @@ class RDCurve:
         )
 
 
-@dataclass(frozen=True)
-class OverlapInterval:
-    """Shared span of two curves on the integration axis."""
-
-    d1: float
-    d2: float
-
-    def __post_init__(self) -> None:
-        if not self.d1 < self.d2:
-            raise OverlapError(f"empty overlap interval [{self.d1}, {self.d2}]")
-
-    @property
-    def width(self) -> float:
-        return self.d2 - self.d1
-
-
-def overlap_interval(reference: RDCurve, test: RDCurve) -> OverlapInterval:
-    """Overlap of the two curves' quality (dB) spans."""
-    d1 = max(reference.points[0].msssim_db, test.points[0].msssim_db)
-    d2 = min(reference.points[-1].msssim_db, test.points[-1].msssim_db)
-    if d1 >= d2:
-        raise OverlapError(
-            f"curves share no quality interval: [{d1}, {d2}] "
-            f"(ref span {reference.points[0].msssim_db}..{reference.points[-1].msssim_db}, "
-            f"test span {test.points[0].msssim_db}..{test.points[-1].msssim_db})"
-        )
-    return OverlapInterval(d1, d2)
-
-
-def _check_floor(reference: RDCurve, test: RDCurve, min_points: int, metric: str) -> None:
-    if min_points < 2:
-        raise InsufficientPointsError(f"{metric} floor cannot go below 2 points")
-    if min_points < 4:
-        warnings.warn(
-            f"{metric} with fewer than 4 points is unreliable (floor set to {min_points})",
-            stacklevel=3,
-        )
-    for name, curve in (("reference", reference), ("test", test)):
-        if len(curve.points) < min_points:
-            raise InsufficientPointsError(
-                f"{metric} needs at least {min_points} points, {name} curve has {len(curve.points)}"
-            )
-
-
 def _integrate_difference(
     f_test: PchipInterpolant, f_ref: PchipInterpolant, lo: float, hi: float
 ) -> float:
@@ -285,26 +242,36 @@ def _integrate_difference(
     return float(np.sum((b - a) * (fa + 4.0 * fm + fb)) / 6.0)
 
 
-def bd_rate(reference: RDCurve, test: RDCurve, *, min_points: int = 4) -> float:
+def _bd_mean(reference: RDCurve, test: RDCurve, fit, metric: str, axis: str) -> float:
+    """Mean of fit(test) - fit(reference) over the overlap of the two fits'
+    knot spans, for curves of at least _MIN_POINTS points each."""
+    for name, curve in (("reference", reference), ("test", test)):
+        if len(curve.points) < _MIN_POINTS:
+            raise InsufficientPointsError(
+                f"{metric} needs at least {_MIN_POINTS} points, {name} curve has {len(curve.points)}"
+            )
+    f_ref, f_test = fit(reference), fit(test)
+    lo = float(max(f_ref.x[0], f_test.x[0]))
+    hi = float(min(f_ref.x[-1], f_test.x[-1]))
+    if lo >= hi:
+        raise OverlapError(
+            f"curves share no {axis} interval: [{lo}, {hi}] "
+            f"(ref span {f_ref.x[0]}..{f_ref.x[-1]}, test span {f_test.x[0]}..{f_test.x[-1]})"
+        )
+    return _integrate_difference(f_test, f_ref, lo, hi) / (hi - lo)
+
+
+def bd_rate(reference: RDCurve, test: RDCurve) -> float:
     """Average bitrate difference of test vs reference, percent, over the
     overlapping quality interval.  Negative means the test curve is better."""
-    _check_floor(reference, test, min_points, "bd_rate")
-    span = overlap_interval(reference, test)
-    integral = _integrate_difference(test.rate_fit(), reference.rate_fit(), span.d1, span.d2)
-    delta = integral / span.width
+    delta = _bd_mean(reference, test, RDCurve.rate_fit, "bd_rate", "quality (dB)")
     return (10.0 ** delta - 1.0) * 100.0
 
 
-def bd_quality(reference: RDCurve, test: RDCurve, *, min_points: int = 4) -> float:
+def bd_quality(reference: RDCurve, test: RDCurve) -> float:
     """Average quality difference (dB) of test vs reference over the
     overlapping log-rate interval.  Positive means the test curve is better."""
-    _check_floor(reference, test, min_points, "bd_quality")
-    r1 = max(reference.log10_rates[0], test.log10_rates[0])
-    r2 = min(reference.log10_rates[-1], test.log10_rates[-1])
-    if r1 >= r2:
-        raise OverlapError(f"curves share no rate interval: [{r1}, {r2}] in log10 kbps")
-    integral = _integrate_difference(test.quality_fit(), reference.quality_fit(), r1, r2)
-    return integral / (r2 - r1)
+    return _bd_mean(reference, test, RDCurve.quality_fit, "bd_quality", "log10 rate")
 
 
 def matched_qp_savings(reference: RDCurve, test: RDCurve, qp: int) -> float:

@@ -85,9 +85,11 @@ DEFAULT_QP_LADDERS: dict[CodecId, tuple[int, ...]] = {
 
 DEFAULT_OPTIMIZER = OptimizerConfig(xtol=0.01, max_iters=25)
 
-# Default multiplicative search window and downhill seeds for k.
-DEFAULT_K_BOUNDS = (1.0 / 16.0, 16.0)
-DEFAULT_K_SEEDS = (0.5, 1.0)
+# The search over ln k: the window k in [1/16, 16], the downhill seeds
+# k = 0.5 and k = 1, and how many times the bracket may grow.
+_LN_K_BOUNDS = (math.log(1.0 / 16.0), math.log(16.0))
+_LN_K_SEEDS = (math.log(0.5), 0.0)
+_MAX_EXPANSIONS = 32
 
 _K_QUANTUM = 1e-6
 
@@ -113,8 +115,6 @@ class EncoderBackend(Protocol):
     def clip_digest(self, clip_id: str) -> str: ...
 
     def template_digest(self) -> str: ...
-
-    def input_path(self, clip_id: str) -> Path | None: ...
 
 
 @dataclass(frozen=True)
@@ -264,16 +264,6 @@ class RunLedger:
         return out
 
 
-def _record_point(rec: dict) -> RDPoint:
-    return RDPoint(
-        qp=int(rec["qp"]),
-        bitrate_kbps=float(rec["bitrate_kbps"]),
-        msssim=float(rec["msssim"]),
-        msssim_db=float(rec["msssim_db"]),
-        vmaf=None if rec.get("vmaf") is None else float(rec["vmaf"]),
-    )
-
-
 class PointCache:
     """In-memory index cache_key -> RDPoint over a RunLedger.
 
@@ -306,7 +296,7 @@ class PointCache:
             try:
                 rec = json.loads(line)
                 if rec["cache_key"] not in self._mem:
-                    self._mem[rec["cache_key"]] = _record_point(rec)
+                    self._mem[rec["cache_key"]] = RDPoint.from_dict(rec)
             except (ValueError, KeyError, TypeError):
                 continue  # unreadable: a miss, re-encoded and appended anew
 
@@ -347,10 +337,6 @@ def _default_store(cache_dir: Path | None) -> PointCache:
         return store
 
 
-def _stores(config: SweepConfig, cache: PointCache | None) -> PointCache:
-    return cache or _default_store(config.cache_dir)
-
-
 def cache_key(job: EncodeJob, template_digest: str, clip_digest: str) -> str:
     """Stable digest over clip content identity and every job parameter
     that can change the encode.  k is quantized to 1e-6."""
@@ -376,14 +362,10 @@ def _ledger_record(
         "cache_key": key,
         "clip": job.clip_id,
         "codec": job.codec.value,
-        "qp": job.qp,
         "k": job.k,
         "group": job.group.value,
         "scope": job.scope.value,
-        "bitrate_kbps": point.bitrate_kbps,
-        "msssim": point.msssim,
-        "msssim_db": point.msssim_db,
-        "vmaf": point.vmaf,
+        **point.to_dict(),
         "invocation_seconds": seconds,
         "cached": cached,
     }
@@ -427,16 +409,7 @@ def _sweep(
     hits: list[dict] = []
     pending: list[tuple[int, EncodeJob, str]] = []
     for qp in config.qp_ladder:
-        job = EncodeJob(
-            clip_id=clip_id,
-            codec=config.codec,
-            qp=qp,
-            k=k,
-            group=config.group,
-            scope=config.scope,
-            input_path=backend.input_path(clip_id),
-            work_dir=None,
-        )
+        job = EncodeJob(clip_id, config.codec, qp, k, config.group, config.scope)
         key = cache_key(job, template_digest, clip_digest)
         job = replace(job, work_dir=work_root / key[:16])
         point = cache.get(key)
@@ -516,7 +489,7 @@ def run_sweep(
     Without a cache the store of config.cache_dir is used (memory-only when
     that is None).
     """
-    cache = _stores(config, cache)
+    cache = cache or _default_store(config.cache_dir)
     with _encode_pool(config, backend) as pool:
         curve, _ = _sweep(clip_id, k, config, backend, cache, pool)
     return curve
@@ -568,7 +541,7 @@ def evaluate_cost(
     """
     if _quantize_k(k) == _quantize_k(1.0):
         return TrialRecord(k=1.0, curve=reference_curve, cost=0.0, encoder_invocations=0)
-    cache = _stores(config, cache)
+    cache = cache or _default_store(config.cache_dir)
     with nullcontext(pool) if pool is not None else _encode_pool(config, backend) as pool:
         curve, fresh = _sweep(clip_id, k, config, backend, cache, pool)
     try:
@@ -656,128 +629,83 @@ def load_result(path: Path | str) -> OptimizationResult:
     return OptimizationResult.from_dict(json.loads(Path(path).read_text()))
 
 
-class _CostObjective:
-    """Memoized cost callback over the optimizer's coordinate, ln k.
-
-    Arguments are quantized to a 1e-6 grid so re-probes are free.  A
-    failing trial's error ends the search in optimize_clip; only the
-    encodes it made are kept here, in failed_encodes.
-    """
-
-    def __init__(self, clip_id, config, backend, reference, cache, pool):
-        self.clip_id = clip_id
-        self.config = config
-        self.backend = backend
-        self.reference = reference
-        self.cache = cache
-        self.pool = pool
-        self.trials: list[TrialRecord] = []
-        self.failed_encodes = 0
-        self._memo: dict[int, float] = {}
-
-    def __call__(self, coord: float) -> float:
-        grid = round(coord / 1e-6)
-        if grid in self._memo:
-            return self._memo[grid]
-        try:
-            trial = evaluate_cost(
-                self.clip_id, math.exp(coord), self.reference, self.config, self.backend,
-                self.cache, pool=self.pool,
-            )
-        except RdtuneError as exc:
-            self.failed_encodes += getattr(exc, "fresh_encodes", 0)
-            raise
-        self.trials.append(trial)
-        self._memo[grid] = trial.cost
-        return trial.cost
-
-
 def optimize_clip(
     clip_id: str,
     config: SweepConfig,
     backend: EncoderBackend,
     optimizer: OptimizerConfig = DEFAULT_OPTIMIZER,
     *,
-    k_bounds: tuple[float, float] = DEFAULT_K_BOUNDS,
-    k_seeds: tuple[float, float] = DEFAULT_K_SEEDS,
     cache: PointCache | None = None,
 ) -> OptimizationResult:
     """Find the scale factor minimizing BD-Rate against the clip's k=1 curve.
 
-    Brackets downhill from the seeds, then runs Brent, both over ln k.  Any RdtuneError
-    raised on the way (no bracket, or a probe that fails) ends the search;
-    k-hat is always the best trial evaluated, including the k=1 baseline,
-    and stop_reason records why the search ended.  A failed reference
-    sweep propagates, since no result can be reported without the k=1
-    curve.  total_invocations also counts the encodes of a probe that
-    failed.  For a backend over child processes every sweep of the call
-    runs its encodes on one pool of config.workers threads; an in-process
-    backend's run on the calling thread.  The store is chosen as in
-    run_sweep.
+    Brackets downhill from the seeds k = 0.5 and k = 1 inside the window
+    k in [1/16, 16], then runs Brent, both over ln k.  Each probe is
+    memoized on a 1e-6 grid of ln k, so a re-probe is free.  Any
+    RdtuneError raised on the way (no bracket, or a probe that fails) ends
+    the search; k-hat is always the best trial evaluated, including the
+    k=1 baseline, and stop_reason records why the search ended.  A clip no
+    trial improves reports k-hat 1 and zero for every change.  A failed
+    reference sweep propagates, since no result can be reported without
+    the k=1 curve.  total_invocations also counts the encodes of a probe
+    that failed.  For a backend over child processes every sweep of the
+    call runs its encodes on one pool of config.workers threads; an
+    in-process backend's run on the calling thread.  The store is chosen
+    as in run_sweep.
     """
-    cache = _stores(config, cache)
+    cache = cache or _default_store(config.cache_dir)
+    trials: list[TrialRecord] = []
+    memo: dict[int, float] = {}
+    failed_encodes = 0
     with _encode_pool(config, backend) as pool:
         reference, _ = _sweep(clip_id, 1.0, config, backend, cache, pool)
-        objective = _CostObjective(clip_id, config, backend, reference, cache, pool)
+
+        def cost(ln_k: float) -> float:
+            nonlocal failed_encodes
+            grid = round(ln_k / 1e-6)
+            if grid not in memo:
+                try:
+                    trial = evaluate_cost(
+                        clip_id, math.exp(ln_k), reference, config, backend, cache, pool=pool
+                    )
+                except RdtuneError as exc:
+                    failed_encodes += getattr(exc, "fresh_encodes", 0)
+                    raise
+                trials.append(trial)
+                memo[grid] = trial.cost
+            return memo[grid]
+
         try:
             bracket = bracket_minimum(
-                objective,
-                math.log(k_seeds[0]),
-                math.log(k_seeds[1]),
-                max_expansions=32,
-                lo=math.log(k_bounds[0]),
-                hi=math.log(k_bounds[1]),
+                cost, *_LN_K_SEEDS, max_expansions=_MAX_EXPANSIONS,
+                lo=_LN_K_BOUNDS[0], hi=_LN_K_BOUNDS[1],
             )
-            _, _, trace = brent_minimize(objective, bracket, optimizer)
+            _, _, trace = brent_minimize(cost, bracket, optimizer)
             stop_reason = "converged" if trace.converged else "max_iters"
         except BracketError:
             stop_reason = "no_bracket"
         except RdtuneError:
             stop_reason = "failed_probe"
 
-    trials = list(objective.trials)
     if not any(_quantize_k(t.k) == _quantize_k(1.0) for t in trials):
         trials.insert(0, TrialRecord(k=1.0, curve=reference, cost=0.0, encoder_invocations=0))
-
-    iterations = sum(1 for t in trials if _quantize_k(t.k) != _quantize_k(1.0))
-    total_invocations = sum(t.encoder_invocations for t in trials) + objective.failed_encodes
     best = min(trials, key=lambda t: (t.cost, abs(math.log(t.k))))
-
-    if _quantize_k(best.k) == _quantize_k(1.0) or best.cost >= 0.0:
-        return OptimizationResult(
-            clip_id=clip_id,
-            codec=config.codec,
-            group=config.group,
-            scope=config.scope,
-            k_hat=1.0,
-            bd_rate=0.0,
-            iterations=iterations,
-            stop_reason=stop_reason,
-            improved=False,
-            rd2_savings=0.0,
-            mean_savings=0.0,
-            msssim_change_db=0.0,
-            vmaf_change=0.0,
-            total_invocations=total_invocations,
-            trials=tuple(trials),
-            reference_curve=reference,
-        )
-
+    improved = _quantize_k(best.k) != _quantize_k(1.0) and best.cost < 0.0
     return OptimizationResult(
         clip_id=clip_id,
         codec=config.codec,
         group=config.group,
         scope=config.scope,
-        k_hat=best.k,
-        bd_rate=best.cost,
-        iterations=iterations,
+        k_hat=best.k if improved else 1.0,
+        bd_rate=best.cost if improved else 0.0,
+        iterations=sum(1 for t in trials if _quantize_k(t.k) != _quantize_k(1.0)),
         stop_reason=stop_reason,
-        improved=True,
-        rd2_savings=matched_qp_savings(reference, best.curve, config.rd2_qp),
-        mean_savings=mean_matched_savings(reference, best.curve),
-        msssim_change_db=bd_quality(reference, best.curve),
-        vmaf_change=mean_vmaf_delta(reference, best.curve),
-        total_invocations=total_invocations,
+        improved=improved,
+        rd2_savings=matched_qp_savings(reference, best.curve, config.rd2_qp) if improved else 0.0,
+        mean_savings=mean_matched_savings(reference, best.curve) if improved else 0.0,
+        msssim_change_db=bd_quality(reference, best.curve) if improved else 0.0,
+        vmaf_change=mean_vmaf_delta(reference, best.curve) if improved else 0.0,
+        total_invocations=sum(t.encoder_invocations for t in trials) + failed_encodes,
         trials=tuple(trials),
         reference_curve=reference,
     )
@@ -802,7 +730,7 @@ def curves_from_ledger(records: list[dict]) -> list[RDCurve]:
     for key in order:
         rec = latest[key]
         ident = (rec["clip"], rec["codec"], _quantize_k(rec["k"]), rec["group"], rec["scope"])
-        point = _record_point(rec)
+        point = RDPoint.from_dict(rec)
         groups.setdefault(ident, (float(rec["k"]), {}))[1][point.qp] = point
 
     curves = []

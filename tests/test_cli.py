@@ -208,6 +208,19 @@ class TestUsageErrors:
         usage = cli_dispatch(["sweep", "--bogus"])
         assert runtime == 1 and usage == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--synthetic", "default", "--k", "2"],
+            ["report", "--workers", "3", "result.json"],
+            ["bdrate", "--out", "x.txt", "a.json", "b.json"],
+        ],
+        ids=["optimize-k", "report-workers", "bdrate-out"],
+    )
+    def test_option_the_subcommand_does_not_read(self, argv, capsys):
+        assert cli_dispatch(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_invalid_config_value_is_runtime_error(self, capsys):
         assert cli_dispatch(["sweep", "--synthetic", "default", "--workers", "0"]) == 1
         assert "workers" in capsys.readouterr().err

@@ -782,6 +782,8 @@ class TestOptimizeClip:
         assert result.mean_savings == mean_matched_savings(reference, best.curve)
         assert result.msssim_change_db == bd_quality(reference, best.curve)
         assert result.vmaf_change == mean_vmaf_delta(reference, best.curve)
+        for name in ("k_hat", "bd_rate", "rd2_savings", "mean_savings", "msssim_change_db", "vmaf_change"):
+            assert type(getattr(result, name)) is float, name
 
     def test_persistent_failure_degenerates_to_one(self, tmp_path):
         # The k=1 reference itself must succeed; fail only k != 1 jobs.
@@ -849,6 +851,13 @@ class TestOptimizeClip:
         assert result.k_hat == 1.0
         # The failed probe's encodes are counted.
         assert result.total_invocations == 5
+        # A clip no trial improves reports zero change, not a missing one.
+        assert not result.improved and result.bd_rate == 0.0
+        for name in ("rd2_savings", "mean_savings", "msssim_change_db", "vmaf_change"):
+            assert getattr(result, name) == 0.0, name
+        baseline = result.trials[0]
+        assert (baseline.k, baseline.cost, baseline.encoder_invocations) == (1.0, 0.0, 0)
+        assert baseline.curve == result.reference_curve
 
     def test_stop_reason_max_iters(self, tmp_path):
         optimizer = replace(DEFAULT_OPTIMIZER, xtol=1e-9, max_iters=3)
