@@ -8,11 +8,18 @@ slopes use the non-centered three-point formula with sign/magnitude
 clamping.  Monotone data therefore yields a monotone C1 interpolant that
 passes through every knot exactly.
 
+An RD curve has a few knots (one per QP of the ladder, 5 by default), so
+the math is scalar Python floats rather than numpy arrays, whose per-call
+cost would dominate.  Every operation keeps the order of the former numpy
+implementation, so slopes and values are bit-identical to it.
+
 Evaluation is strictly in-span; extrapolation raises.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -27,101 +34,113 @@ __all__ = ["PchipInterpolant", "pchip_fit", "pchip_eval"]
 class PchipInterpolant:
     """Knots plus the per-knot slopes of the fitted Hermite cubic."""
 
-    x: np.ndarray
-    y: np.ndarray
-    slopes: np.ndarray
+    x: tuple[float, ...]
+    y: tuple[float, ...]
+    slopes: tuple[float, ...]
 
     @property
     def span(self) -> tuple[float, float]:
-        return float(self.x[0]), float(self.x[-1])
+        return self.x[0], self.x[-1]
 
     def __call__(self, at, derivative: int = 0):
         return pchip_eval(self, at, derivative=derivative)
 
 
-def _monotone_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    n = len(x)
-    h = np.diff(x)
-    delta = np.diff(y) / h
-    if n == 2:
-        return np.array([delta[0], delta[0]])
+def _sign(v: float) -> int:
+    return (v > 0.0) - (v < 0.0)
 
-    d = np.zeros(n)
+
+def _monotone_slopes(x: tuple[float, ...], y: tuple[float, ...]) -> tuple[float, ...]:
+    n = len(x)
+    h = [x[i + 1] - x[i] for i in range(n - 1)]
+    delta = [(y[i + 1] - y[i]) / h[i] for i in range(n - 1)]
+    if n == 2:
+        return delta[0], delta[0]
+
+    d = [0.0] * n
 
     # Interior: harmonic weighted mean where adjacent secants share a
     # nonzero sign, zero otherwise (local extremum or flat spot).
-    same_sign = np.sign(delta[:-1]) * np.sign(delta[1:]) > 0
-    idx = np.nonzero(same_sign)[0]
-    if idx.size:
-        w1 = 2.0 * h[idx + 1] + h[idx]
-        w2 = h[idx + 1] + 2.0 * h[idx]
-        d[idx + 1] = (w1 + w2) / (w1 / delta[idx] + w2 / delta[idx + 1])
+    for i in range(n - 2):
+        if _sign(delta[i]) * _sign(delta[i + 1]) > 0:
+            w1 = 2.0 * h[i + 1] + h[i]
+            w2 = h[i + 1] + 2.0 * h[i]
+            d[i + 1] = (w1 + w2) / (w1 / delta[i] + w2 / delta[i + 1])
 
     d[0] = _edge_slope(h[0], h[1], delta[0], delta[1])
     d[-1] = _edge_slope(h[-1], h[-2], delta[-1], delta[-2])
-    return d
+    return tuple(d)
 
 
 def _edge_slope(h0: float, h1: float, d0: float, d1: float) -> float:
     # Non-centered three-point estimate, clamped to preserve shape.
     s = ((2.0 * h0 + h1) * d0 - h0 * d1) / (h0 + h1)
-    if np.sign(s) != np.sign(d0):
+    if _sign(s) != _sign(d0):
         return 0.0
-    if np.sign(d0) != np.sign(d1) and abs(s) > 3.0 * abs(d0):
+    if _sign(d0) != _sign(d1) and abs(s) > 3.0 * abs(d0):
         return 3.0 * d0
     return s
 
 
 def pchip_fit(points: Iterable[tuple[float, float]] | Sequence) -> PchipInterpolant:
     """Fit the monotone cubic through (x, y) pairs with strictly increasing x."""
-    pts = np.asarray(list(points) if not isinstance(points, np.ndarray) else points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise CurveDataError(f"expected (x, y) pairs, got array of shape {pts.shape}")
-    if len(pts) < 2:
-        raise CurveDataError(f"need at least 2 points to interpolate, got {len(pts)}")
-    x, y = pts[:, 0].copy(), pts[:, 1].copy()
-    if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
+    rows = points.tolist() if isinstance(points, np.ndarray) else points
+    try:
+        pairs = [(float(px), float(py)) for px, py in rows]
+    except (TypeError, ValueError):
+        raise CurveDataError(f"expected (x, y) number pairs, got {points!r:.80}") from None
+    if len(pairs) < 2:
+        raise CurveDataError(f"need at least 2 points to interpolate, got {len(pairs)}")
+    x, y = zip(*pairs)
+    if not all(map(math.isfinite, x + y)):
         raise CurveDataError("non-finite coordinates in interpolation input")
-    dx = np.diff(x)
-    if np.any(dx <= 0.0):
-        bad = int(np.argmax(dx <= 0.0))
-        raise CurveDataError(
-            f"x must be strictly increasing; x[{bad}]={x[bad]} followed by x[{bad + 1}]={x[bad + 1]}"
-        )
+    for i in range(len(x) - 1):
+        if x[i + 1] <= x[i]:
+            raise CurveDataError(
+                f"x must be strictly increasing; x[{i}]={x[i]} followed by x[{i + 1}]={x[i + 1]}"
+            )
     return PchipInterpolant(x=x, y=y, slopes=_monotone_slopes(x, y))
+
+
+def _hermite(f: PchipInterpolant, at: list[float], derivative: int) -> list[float]:
+    """Values (or first derivatives) of the fit at each point of `at`."""
+    x, y, slopes = f.x, f.y, f.slopes
+    lo, hi, last = x[0], x[-1], len(x) - 2
+    out = []
+    for q in at:
+        if q < lo or q > hi:
+            raise ExtrapolationError(f"x={q} outside the knot span [{lo}, {hi}]")
+        # The piece whose left knot is the last one <= q; the top knot (and
+        # NaN, which passes the span check) falls in the last piece.
+        i = bisect_right(x, q) - 1
+        if i > last:
+            i = last
+        h = x[i + 1] - x[i]
+        t = (q - x[i]) / h
+        if derivative == 0:
+            u = 1.0 - t
+            h00 = (1.0 + 2.0 * t) * (u * u)
+            h10 = t * (u * u)
+            h01 = t * t * (3.0 - 2.0 * t)
+            h11 = t * t * (t - 1.0)
+            out.append(h00 * y[i] + h * h10 * slopes[i] + h01 * y[i + 1] + h * h11 * slopes[i + 1])
+        else:
+            dh00 = 6.0 * t * (t - 1.0)
+            dh10 = (1.0 - t) * (1.0 - 3.0 * t)
+            dh11 = t * (3.0 * t - 2.0)
+            out.append((dh00 * y[i] - dh00 * y[i + 1]) / h + dh10 * slopes[i] + dh11 * slopes[i + 1])
+    return out
 
 
 def pchip_eval(f: PchipInterpolant, at, derivative: int = 0):
     """Evaluate the interpolant (or its first derivative) strictly in-span.
 
-    Accepts a scalar or an array; returns the matching shape.
+    Accepts a scalar, returning a float, or an array (any order, any
+    shape), returning an ndarray of its shape.
     """
     if derivative not in (0, 1):
         raise ValueError(f"derivative must be 0 or 1, got {derivative}")
-    scalar = np.isscalar(at)
+    if np.isscalar(at):
+        return _hermite(f, [float(at)], derivative)[0]
     q = np.atleast_1d(np.asarray(at, dtype=float))
-    lo, hi = f.span
-    if np.any(q < lo) or np.any(q > hi):
-        bad = q[(q < lo) | (q > hi)][0]
-        raise ExtrapolationError(f"x={bad} outside the knot span [{lo}, {hi}]")
-
-    seg = np.clip(np.searchsorted(f.x, q, side="right") - 1, 0, len(f.x) - 2)
-    h = f.x[seg + 1] - f.x[seg]
-    t = (q - f.x[seg]) / h
-    y0, y1 = f.y[seg], f.y[seg + 1]
-    d0, d1 = f.slopes[seg], f.slopes[seg + 1]
-
-    if derivative == 0:
-        h00 = (1.0 + 2.0 * t) * (1.0 - t) ** 2
-        h10 = t * (1.0 - t) ** 2
-        h01 = t * t * (3.0 - 2.0 * t)
-        h11 = t * t * (t - 1.0)
-        out = h00 * y0 + h * h10 * d0 + h01 * y1 + h * h11 * d1
-    else:
-        dh00 = 6.0 * t * (t - 1.0)
-        dh10 = (1.0 - t) * (1.0 - 3.0 * t)
-        dh01 = -dh00
-        dh11 = t * (3.0 * t - 2.0)
-        out = (dh00 * y0 + dh01 * y1) / h + dh10 * d0 + dh11 * d1
-
-    return float(out[0]) if scalar else out
+    return np.array(_hermite(f, q.ravel().tolist(), derivative), dtype=float).reshape(q.shape)

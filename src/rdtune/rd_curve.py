@@ -121,13 +121,6 @@ class RDPoint:
                    vmaf=None if d.get("vmaf") is None else float(d["vmaf"]))
 
 
-def _shared_fit(x: np.ndarray, y: np.ndarray) -> PchipInterpolant:
-    fit = pchip_fit(np.column_stack([x, y]))
-    for array in (fit.x, fit.y, fit.slopes):
-        array.flags.writeable = False
-    return fit
-
-
 @dataclass(frozen=True)
 class RDCurve:
     """Measurements for one (clip, k, group, scope), sorted by ascending quality.
@@ -167,13 +160,23 @@ class RDCurve:
                     f"{a.bitrate_kbps} then {b.bitrate_kbps} (qp {a.qp} -> {b.qp})"
                 )
 
+    # The BD math works on these float lists; the log rates come from one
+    # np.log10 call, because math.log10 does not always round the same way.
+    @cached_property
+    def _db(self) -> list[float]:
+        return [p.msssim_db for p in self.points]
+
+    @cached_property
+    def _log_rates(self) -> list[float]:
+        return np.log10([p.bitrate_kbps for p in self.points]).tolist()
+
     @property
     def qualities_db(self) -> np.ndarray:
-        return np.array([p.msssim_db for p in self.points])
+        return np.array(self._db)
 
     @property
     def log10_rates(self) -> np.ndarray:
-        return np.log10([p.bitrate_kbps for p in self.points])
+        return np.array(self._log_rates)
 
     @property
     def qps(self) -> tuple[int, ...]:
@@ -186,14 +189,15 @@ class RDCurve:
         raise MissingPointError(f"qp {qp} not present in curve for clip {self.clip_id!r}")
 
     # A curve is immutable, so each fit is made once (the k=1 reference is
-    # the same curve for every trial of a clip) and shared read-only.
+    # the same curve for every trial of a clip) and shared; its fields are
+    # tuples, so no user can change it.
     @cached_property
     def _rate_fit(self) -> PchipInterpolant:
-        return _shared_fit(self.qualities_db, self.log10_rates)
+        return pchip_fit(zip(self._db, self._log_rates))
 
     @cached_property
     def _quality_fit(self) -> PchipInterpolant:
-        return _shared_fit(self.log10_rates, self.qualities_db)
+        return pchip_fit(zip(self._log_rates, self._db))
 
     def rate_fit(self) -> PchipInterpolant:
         """Monotone fit of quality (dB) -> log10 bitrate."""
@@ -225,21 +229,53 @@ class RDCurve:
         )
 
 
+def _float64_sum(v: list[float]) -> float:
+    """Sum in numpy's order for a contiguous float64 array (np.sum), so the
+    result is bit-identical to it: sequential below 8 terms, 8 interleaved
+    accumulators up to 128, and above that the two halves (the first cut
+    to a multiple of 8) summed the same way, all added to the identity 0.0."""
+
+    def pairwise(v: list[float]) -> float:
+        n = len(v)
+        if n < 8:
+            total = 0.0
+            for term in v:
+                total += term
+            return total
+        if n > 128:
+            half = n // 2 - (n // 2) % 8
+            return pairwise(v[:half]) + pairwise(v[half:])
+        r = v[:8]
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            for j in range(8):
+                r[j] += v[i + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for term in v[tail:]:
+            total += term
+        return total
+
+    return 0.0 + pairwise(v)
+
+
 def _integrate_difference(
     f_test: PchipInterpolant, f_ref: PchipInterpolant, lo: float, hi: float
 ) -> float:
     """Exact integral of (f_test - f_ref) over [lo, hi].
 
     Both fits are cubic between consecutive points of the union of their
-    knots, so one Simpson pass over those pieces is exact.  Every piece's
-    endpoints and midpoint go to each interpolant in a single array call.
+    knots, so one Simpson pass over those pieces is exact.  Each fit is
+    evaluated once, in one call, at the cut points and the midpoints.
     """
-    cuts = np.unique(np.concatenate([f_test.x, f_ref.x, [lo, hi]]))
-    cuts = cuts[(cuts >= lo) & (cuts <= hi)]
-    a, b = cuts[:-1], cuts[1:]
-    at = np.concatenate([a, 0.5 * (a + b), b])
-    fa, fm, fb = (f_test(at) - f_ref(at)).reshape(3, -1)
-    return float(np.sum((b - a) * (fa + 4.0 * fm + fb)) / 6.0)
+    cuts = sorted({lo, hi, *(c for c in f_test.x + f_ref.x if lo < c < hi)})
+    pieces = list(zip(cuts, cuts[1:]))
+    at = cuts + [0.5 * (a + b) for a, b in pieces]
+    diff = [t - r for t, r in zip(f_test(at).tolist(), f_ref(at).tolist())]
+    fm = diff[len(cuts):]
+    terms = [
+        (b - a) * (diff[i] + 4.0 * fm[i] + diff[i + 1]) for i, (a, b) in enumerate(pieces)
+    ]
+    return _float64_sum(terms) / 6.0
 
 
 def _bd_mean(reference: RDCurve, test: RDCurve, fit, metric: str, axis: str) -> float:
@@ -251,8 +287,8 @@ def _bd_mean(reference: RDCurve, test: RDCurve, fit, metric: str, axis: str) -> 
                 f"{metric} needs at least {_MIN_POINTS} points, {name} curve has {len(curve.points)}"
             )
     f_ref, f_test = fit(reference), fit(test)
-    lo = float(max(f_ref.x[0], f_test.x[0]))
-    hi = float(min(f_ref.x[-1], f_test.x[-1]))
+    lo = max(f_ref.x[0], f_test.x[0])
+    hi = min(f_ref.x[-1], f_test.x[-1])
     if lo >= hi:
         raise OverlapError(
             f"curves share no {axis} interval: [{lo}, {hi}] "

@@ -18,6 +18,10 @@ ledger in one write.  A backend whose encodes run in child processes gets
 one pool of config.workers threads per optimize_clip or run_sweep call:
 the sweep's hits go to the ledger in one write, and each fresh point as
 soon as its encode completes, so a killed run loses no finished encode.
+Only such a backend's jobs get a work dir for encoder output, under
+<cache-dir>/work/<pid>/<key[:16]> (rdtune-work/<pid>/... in the temp dir
+without a cache dir); an in-process backend writes no files, and its jobs
+carry work_dir None.
 
 The search runs bracketing plus Brent over ln k.  It has one
 failure rule: any RdtuneError raised while bracketing or refining (a probe
@@ -155,6 +159,11 @@ class SweepConfig:
         return self.qp_ladder[1] if len(self.qp_ladder) > 1 else self.qp_ladder[0]
 
 
+# One encoder for every ledger line: json.dumps(r, sort_keys=True) builds a
+# new JSONEncoder per call.
+_record_json = json.JSONEncoder(sort_keys=True).encode
+
+
 class RunLedger:
     """Append-only JSON Lines record of every completed encode, and the one
     persistent store of RD points (PointCache is its in-memory index).
@@ -217,7 +226,7 @@ class RunLedger:
         span [start, end) they occupy in the file ((0, 0) with no file)."""
         if self._fd is None:
             return 0, 0
-        data = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records).encode()
+        data = "".join(_record_json(r) + "\n" for r in records).encode()
         with self._locked():
             start = self._end_on_newline()
             rest = data
@@ -372,8 +381,9 @@ def _ledger_record(
 
 
 def _work_root(config: SweepConfig) -> Path:
-    """Encoder scratch space private to this process, so processes encoding
-    the same key never write the same output or report file."""
+    """Encoder scratch space for a backend over child processes, private to
+    this process, so processes encoding the same key never write the same
+    output or report file."""
     if config.cache_dir is not None:
         base = config.cache_dir / "work"
     else:
@@ -403,7 +413,8 @@ def _sweep(
     fresh_encodes counts the encodes it dispatched."""
     template_digest = backend.template_digest()
     clip_digest = backend.clip_digest(clip_id)
-    work_root = _work_root(config)
+    # Only encodes in child processes write files.
+    work_root = None if backend.in_process else _work_root(config)
 
     points: dict[int, RDPoint] = {}
     hits: list[dict] = []
@@ -411,7 +422,8 @@ def _sweep(
     for qp in config.qp_ladder:
         job = EncodeJob(clip_id, config.codec, qp, k, config.group, config.scope)
         key = cache_key(job, template_digest, clip_digest)
-        job = replace(job, work_dir=work_root / key[:16])
+        if work_root is not None:
+            job = replace(job, work_dir=work_root / key[:16])
         point = cache.get(key)
         if point is not None:
             points[qp] = point

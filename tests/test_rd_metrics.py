@@ -1,6 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rdtune import rd_curve
 from rdtune.errors import (
     CurveDataError,
     DomainError,
@@ -167,7 +172,7 @@ class TestRDCurve:
         for name in ("x", "y", "slopes"):
             cached = getattr(reference.rate_fit(), name)
             assert np.array_equal(cached, getattr(fresh, name))
-            with pytest.raises(ValueError):
+            with pytest.raises(TypeError):
                 cached[0] = 0.0
         assert reference.quality_fit() is reference.quality_fit()
         assert RDCurve.from_dict(reference.to_dict()) == reference
@@ -301,6 +306,98 @@ class TestExactIntegral:
             inside += _strictly_inside_a_piece(hi, xb if hi == xa[-1] else xa)
         assert checked >= 30
         assert inside >= 30
+
+
+# repr of (bd_rate, bd_quality) for the seeded pairs of _frozen_pairs, as
+# computed by the former numpy implementation; None where the curves share no
+# interval.  The scalar implementation must reproduce every bit.
+FROZEN_BD = [
+    (340.43142476333924, -5.45900589659215),
+    (-18.815171080638383, 1.2011124279736856),
+    (-87.70905708142848, 5.585985275009927),
+    (-55.038080268249345, 2.537750089468758),
+    (-81.7491056112666, 8.561021594096363),
+    (-75.16570845225476, 4.946260730239867),
+    (-74.08021471589078, 7.2931192732335),
+    (-77.77471109843505, 6.316831384798958),
+    (180.88883859207604, -4.269782071210037),
+    (1102.953221806666, -8.938638777733619),
+    (-53.534516869659555, 4.322768004429931),
+    (323.0912714240674, -4.375717870432974),
+    (795.0912323811242, -10.29544256358246),
+    (34.710682639575154, -0.7487446937885432),
+    (-90.24434494695157, 11.458095874345549),
+    (-79.87905912985332, 7.097952213090481),
+    (-24.307476197934974, 2.6118052266571268),
+    (1.3792961305560958, 0.7406149419547802),
+    (331.6088142119248, -13.93346997598433),
+    (-93.48447492303576, 11.868140555704395),
+    (None, 11.825278840004957),
+    (-72.51035755909056, 5.85817638149435),
+    (1142.4624859440858, -10.149608823120452),
+    (442.7682585372766, -9.852925266251697),
+    (-38.0821634251423, 3.338990726416106),
+    (-83.89011182874428, 12.88069061948294),
+    (-75.5071759495424, 3.872377290479958),
+    (3.353777467945984, 0.2640797941803494),
+    (936.73772061105, -7.40690788986924),
+    (372.8529397594569, -6.262072042805017),
+    (317.0605841849291, -5.687186073620415),
+    (213.26100363534982, -4.662366764648511),
+    (-88.18915480472896, 7.8781539136279495),
+    (-77.30899991802367, 3.8321203750536763),
+    (-72.34826653212005, 2.6745625045048085),
+    (30.973058138682454, -3.164701533057384),
+    (801.8206577919965, -9.091348347240753),
+    (34.63117460835947, -1.7056203738140046),
+    (65.84870833462737, -2.6260501687734616),
+    (-30.963244572070348, 0.39859162403359316),
+    (-91.0772305250922, 15.813329577666948),
+    (-57.67003896142231, 4.299196852668958),
+    (-52.334388475984596, 5.742281685987175),
+    (127.38690110953348, -0.8219361424246489),
+    (-97.39075012265732, 12.355051910709223),
+    (28.748039037634587, -1.751268129091817),
+    (None, 17.75100719256431),
+    (723.2138290033762, -9.785234858180775),
+    (51.70703621028421, -1.804771185289828),
+    (2793.271749494117, -13.46638775310551),
+]
+
+
+def _frozen_pairs():
+    rng = np.random.default_rng(20261018)
+    for _ in range(len(FROZEN_BD)):
+        qa, ra = oracles.random_monotone_curve(rng, int(rng.integers(4, 8)))
+        qb, rb = oracles.random_monotone_curve(rng, int(rng.integers(4, 8)))
+        yield curve_from_arrays(qa, ra), curve_from_arrays(qb, rb, k=2.0)
+
+
+class TestFrozenBits:
+    def test_bd_metrics_match_numpy_implementation(self):
+        for (ref, test), expected in zip(_frozen_pairs(), FROZEN_BD):
+            for metric, value in zip((bd_rate, bd_quality), expected):
+                if value is None:
+                    with pytest.raises(OverlapError):
+                        metric(ref, test)
+                else:
+                    assert metric(ref, test) == value
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.floats(min_value=-1e300, max_value=1e300), max_size=40))
+    def test_sum_follows_numpy_order(self, values):
+        # _float64_sum mirrors np.sum's pairwise order; a numpy that sums
+        # in another order fails here by name.
+        mine = rd_curve._float64_sum(values)
+        theirs = float(np.sum(np.array(values, dtype=float)))
+        assert struct.pack("<d", mine) == struct.pack("<d", theirs)
+
+    def test_sum_follows_numpy_order_past_a_block(self):
+        # Above 128 terms numpy sums two halves; cover that branch too.
+        rng = np.random.default_rng(3)
+        for n in range(0, 400, 7):
+            values = (rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)).tolist()
+            assert rd_curve._float64_sum(values) == float(np.sum(np.array(values)))
 
 
 class TestMatchedSavings:

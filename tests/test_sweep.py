@@ -184,6 +184,8 @@ def _sweep_in_child(cache_dir, queue):
     """Child half of the two-process test: sweep k=2 (encoded by the parent)
     and k=1, and report fresh encodes and work dirs per sweep."""
     class Recording(SyntheticEncoder):
+        in_process = False  # the pooled path, where jobs carry a work dir
+
         def measure(self, job):
             work_dirs.add(str(job.work_dir.parent))
             return super().measure(job)
@@ -472,6 +474,8 @@ class TestStoreAndPool:
         work_dirs = set()
 
         class Recording(SyntheticEncoder):
+            in_process = False  # the pooled path, where jobs carry a work dir
+
             def measure(self, job):
                 work_dirs.add(job.work_dir.parent)
                 return super().measure(job)
@@ -483,6 +487,17 @@ class TestStoreAndPool:
         work_dirs.clear()
         run_sweep("clip", 1.0, av1_config(), Recording(SyntheticClipModel(), "clip"))
         assert work_dirs == {Path(tempfile.gettempdir()) / "rdtune-work" / pid}
+
+        # An in-process backend writes no files, so its jobs get no work dir.
+        in_process_dirs = []
+
+        class InProcess(SyntheticEncoder):
+            def measure(self, job):
+                in_process_dirs.append(job.work_dir)
+                return super().measure(job)
+
+        run_sweep("clip", 2.0, av1_config(cache_dir=tmp_path), InProcess(SyntheticClipModel(), "clip"))
+        assert in_process_dirs == [None] * 5
 
 
 class TestRunSweep:
@@ -704,6 +719,17 @@ class TestRunLedger:
             fh.write('{"cache_key": "c", "q\n')
         with pytest.raises(json.JSONDecodeError):
             RunLedger.load(path)
+
+    def test_lines_are_json_dumps_sorted(self, tmp_path):
+        # The one shared encoder writes what json.dumps(r, sort_keys=True)
+        # would, byte for byte: for a real record, and for None and nesting.
+        run_sweep("clip", 1.0, av1_config(cache_dir=tmp_path), synthetic_backend())
+        real = RunLedger.load(tmp_path / "ledger.jsonl")[0]
+        nested = {"z": None, "a": [1, 2.5, {"y": None, "b": "é"}], "m": {"k": -0.0, "c": 1e-300}}
+        path = tmp_path / "check.jsonl"
+        RunLedger(path).append(real, nested)
+        expected = "".join(json.dumps(r, sort_keys=True) + "\n" for r in (real, nested))
+        assert path.read_bytes() == expected.encode()
 
 
 class TestEvaluateCost:
