@@ -242,10 +242,22 @@ def _cmd_plot(args) -> int:
     return 0
 
 
+def _join_k_value(argv) -> list[str]:
+    """argv with `--k VALUE` written `--k=VALUE`: argparse reads a dash-led
+    value that is not a plain number, such as -inf, as an option."""
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] == "--k":
+            joined[-1] = f"--k={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
 def cli_dispatch(argv) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = parser.parse_args(_join_k_value(argv))
     except SystemExit as exc:  # argparse usage error (2) or --help (0)
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -4,7 +4,10 @@ brent_minimize runs the classic parabolic-interpolation-guarded-by-
 golden-section iteration and guarantees that every probe stays strictly
 inside the initial bracket and that the returned point is the best one
 actually evaluated, never an unevaluated interpolate.  Both guarantees
-matter when one evaluation costs a full encode sweep.
+matter when one evaluation costs a full encode sweep, and so do two
+departures from the textbook start and stop: the first step tries the
+parabola through the bracket's three evaluated points, and the stop
+tolerance xtol*(|x| + 1/2) keeps an absolute floor of xtol/2 near x = 0.
 """
 
 from __future__ import annotations
@@ -119,20 +122,24 @@ def brent_minimize(
 ) -> tuple[float, float, OptimizerTrace]:
     """Minimize f inside a bracket; returns (x_best, f_best, trace).
 
-    Stops when the interval collapses below 2*xtol*|x| + tiny or after
-    max_iters evaluations (then converged=False).  The result is the best
-    evaluated point over the bracket and all probes.
+    The first step tries the parabola through the bracket's three points.
+    Stops when the interval around x is within 2*xtol*(|x| + 1/2) + tiny,
+    or after max_iters evaluations (then converged=False).  The result is
+    the best evaluated point over the bracket and all probes.
     """
     trace = OptimizerTrace()
     a, b = bracket.a, bracket.c
-    x = w = v = bracket.b
-    fx = fw = fv = bracket.fb
+    x, fx = bracket.b, bracket.fb
     best = [(bracket.fa, bracket.a), (bracket.fb, bracket.b), (bracket.fc, bracket.c)]
+    # The bracket's ends are evaluated points: w the lower, v the other, so
+    # the first step can be the parabola through all three.
+    (fw, w), (fv, v) = sorted([best[0], best[2]])
 
-    d = e = 0.0
+    d, e = 0.0, b - a
     for _ in range(config.max_iters):
         m = 0.5 * (a + b)
-        tol1 = config.xtol * abs(x) + _ZEPS
+        # The xtol/2 floor keeps the stop test from vanishing near x = 0.
+        tol1 = config.xtol * (abs(x) + 0.5) + _ZEPS
         tol2 = 2.0 * tol1
         if abs(x - m) <= tol2 - 0.5 * (b - a):
             trace.converged = True

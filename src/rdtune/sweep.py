@@ -472,7 +472,10 @@ def _sweep(
         failures.sort(key=lambda f: f[0])
         qp, exc = failures[0]
         more = f" (+{len(failures) - 1} more)" if len(failures) > 1 else ""
-        error = SweepError(f"encode failed at qp={qp}, k={k}{more}: {exc}")
+        message = f"encode failed at qp={qp}, k={k}{more}: {exc}"
+        if isinstance(exc, EncodeFailure) and exc.captured_output:
+            message += "; stderr tail: " + " | ".join(exc.captured_output.splitlines()[-3:])
+        error = SweepError(message)
         error.fresh_encodes = len(pending)
         raise error from exc
 

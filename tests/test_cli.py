@@ -114,10 +114,15 @@ class TestSweepCommand:
         doc = json.loads(out.read_text())
         assert sorted(p["qp"] for p in doc["points"]) == [30, 40, 50]
 
-    @pytest.mark.parametrize("k", ["inf", "nan", "-inf"])
-    def test_non_finite_k_is_one_error_line(self, tmp_path, capsys, k):
+    @pytest.mark.parametrize(
+        "k_args",
+        [pytest.param([f"--k={k}"], id=k) for k in ("inf", "nan", "-inf")]
+        + [pytest.param(["--k", k], id=f"spaced{k}") for k in ("inf", "nan", "-inf")],
+    )
+    def test_non_finite_k_is_one_error_line(self, tmp_path, capsys, k_args):
+        # The space-separated `--k -inf` is a value too, not an unknown option.
         status = cli_dispatch([
-            "sweep", "--synthetic", "default", f"--k={k}", "--out", str(tmp_path / "c.json"),
+            "sweep", "--synthetic", "default", *k_args, "--out", str(tmp_path / "c.json"),
         ])
         assert status == 1
         err = capsys.readouterr().err

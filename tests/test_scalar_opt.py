@@ -83,6 +83,13 @@ class TestBrent:
         assert x == pytest.approx(2.5, abs=1e-3)
         assert trace.converged
 
+    def test_first_step_is_bracket_parabola(self):
+        # The bracket's three points fit this quadratic exactly, so the
+        # first probe is its minimum rather than a golden-section step.
+        f = lambda x: (x - 0.3) ** 2
+        _, _, trace = brent_minimize(f, make_bracket(f, -1.0, 0.0, 1.0), OptimizerConfig())
+        assert trace.evaluations[0][0] == pytest.approx(0.3, abs=1e-12)
+
     def test_cosine(self):
         config = OptimizerConfig(xtol=1e-6, max_iters=100)
         x, fx, trace = brent_minimize(math.cos, make_bracket(math.cos, 2.0, 3.0, 4.0), config)

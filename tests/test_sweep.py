@@ -112,10 +112,10 @@ class FlakyBackend(SyntheticEncoder):
             self.fail("injected encode failure")
         return super().measure(job)
 
-    def fail(self, message):
+    def fail(self, message, captured_output=""):
         with self._count_lock:
             self.invocations += 1
-        raise EncodeFailure(message)
+        raise EncodeFailure(message, captured_output)
 
 
 class TestSweepConfig:
@@ -552,6 +552,18 @@ class TestRunSweep:
         run_sweep("clip", 1.3, config, retry_backend)
         assert retry_backend.invocations == 1
 
+    def test_failure_message_ends_with_stderr_tail(self, tmp_path):
+        class Noisy(FlakyBackend):
+            def fail(self, message):
+                super().fail(message, "starting\nframe 1\nframe 2\nout of memory")
+
+        backend = Noisy(SyntheticClipModel(), "clip", fail_qp=49, failures=2)
+        with pytest.raises(SweepError) as info:
+            run_sweep("clip", 1.3, av1_config(cache_dir=tmp_path), backend)
+        message = str(info.value)
+        assert message.endswith("stderr tail: frame 1 | frame 2 | out of memory")
+        assert "starting" not in message
+
     def test_single_worker_equivalent(self, tmp_path):
         a = run_sweep("clip", 1.5, av1_config(cache_dir=tmp_path / "a", workers=1), synthetic_backend())
         b = run_sweep("clip", 1.5, av1_config(cache_dir=tmp_path / "b", workers=5), synthetic_backend())
@@ -781,6 +793,24 @@ class TestOptimizeClip:
         fresh_trials = [t for t in result.trials if t.encoder_invocations > 0]
         assert result.total_invocations == 5 * len(fresh_trials)
         assert backend.invocations == result.total_invocations + 5  # + reference sweep
+
+    def test_default_model_probe_count(self, tmp_path):
+        # Brent's first step is the parabola through the bracket, and it
+        # stops once the interval is within xtol*(|ln k| + 1/2).
+        result = optimize_clip("clip", av1_config(cache_dir=tmp_path), synthetic_backend())
+        assert result.stop_reason == "converged"
+        assert result.iterations == 7
+        assert result.total_invocations == 35
+
+    def test_control_probe_count(self, tmp_path):
+        # Near k = 1 the stop test keeps its xtol/2 floor in ln k, so a
+        # clip with nothing to gain does not probe below what it resolves.
+        backend = synthetic_backend(gamma=0.01, k_star=1.0)
+        result = optimize_clip("clip", av1_config(cache_dir=tmp_path), backend)
+        assert result.stop_reason == "converged"
+        assert result.iterations == 6
+        assert result.total_invocations == 30
+        assert abs(result.k_hat - 1.0) <= DEFAULT_OPTIMIZER.xtol
 
     def test_bd_rate_is_min_over_trials(self, tmp_path):
         result = optimize_clip("clip", av1_config(cache_dir=tmp_path), synthetic_backend())
