@@ -49,7 +49,6 @@ from .encoder_bridge import (
     CommandTemplate,
     EncodeJob,
     ExternalEncoder,
-    MetricKeyPaths,
     SyntheticClipModel,
     SyntheticEncoder,
     encode_measure,

@@ -25,7 +25,6 @@ from .plot import emit_plot
 from .rd_curve import RDCurve, bd_rate
 from .report import render_csv, render_text, summarize
 from .sweep import (
-    DEFAULT_OPTIMIZER,
     OptimizationResult,
     SweepConfig,
     load_result,
@@ -43,25 +42,16 @@ def _qps(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad QP list {text!r}; expected e.g. 27,39,49") from None
 
 
-def _codec(text: str) -> CodecId:
-    try:
-        return CodecId.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _parsed_by(enum_type):
+    """argparse type that reads a value with enum_type.parse."""
 
+    def parse(text: str):
+        try:
+            return enum_type.parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-def _group(text: str) -> FrameTypeGroup:
-    try:
-        return FrameTypeGroup.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _scope(text: str) -> LambdaScope:
-    try:
-        return LambdaScope.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,11 +59,13 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("--out", type=Path, default=None, help="output file (or directory)")
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--manifest", type=Path, help="clip manifest JSON (array of clip entries)")
-    shared.add_argument("--codec", type=_codec, default=CodecId.AV1, help="AV1 or HEVC")
+    shared.add_argument("--codec", type=_parsed_by(CodecId), default=CodecId.AV1,
+                        help="AV1 or HEVC")
     shared.add_argument("--qps", type=_qps, default=None, help="comma-separated QP ladder")
-    shared.add_argument("--group", type=_group, default=FrameTypeGroup.ALL_FRAMES,
+    shared.add_argument("--group", type=_parsed_by(FrameTypeGroup),
+                        default=FrameTypeGroup.ALL_FRAMES,
                         help="frame-type group receiving k (e.g. KF_GF_ARF, IFrames)")
-    shared.add_argument("--scope", type=_scope, default=LambdaScope.TOP,
+    shared.add_argument("--scope", type=_parsed_by(LambdaScope), default=LambdaScope.TOP,
                         help="Top (all RD decisions) or Partition (partitioning only)")
     shared.add_argument("--workers", type=int, default=5,
                         help="concurrent encoder child processes per sweep; "
@@ -174,41 +166,40 @@ def _load_curve(path: Path) -> RDCurve:
         raise ManifestError(f"curve file {path} is malformed: {exc}") from exc
 
 
-def _cmd_sweep(args) -> int:
+def _run_per_clip(args, verb: str, run, file_name) -> int:
+    """Write run(clip_id, config, backend)'s document for each clip: to
+    stdout, to the --out file (one clip only), or to --out/file_name(...)."""
     backend, clip_ids = _make_backend(args)
     config = _sweep_config(args)
-    if len(clip_ids) > 1 and args.out is not None and args.out.suffix:
-        raise ManifestError("--out must be a directory when sweeping multiple clips")
+    to_file = args.out is not None and bool(args.out.suffix)
+    if len(clip_ids) > 1 and to_file:
+        raise ManifestError(f"--out must be a directory when {verb} multiple clips")
     for clip_id in clip_ids:
-        curve = run_sweep(clip_id, args.k, config, backend)
-        text = json.dumps(curve.to_dict(), indent=2, sort_keys=True) + "\n"
-        if args.out is None:
-            sys.stdout.write(text)
-        elif len(clip_ids) == 1 and args.out.suffix:
+        text = json.dumps(run(clip_id, config, backend).to_dict(), indent=2, sort_keys=True) + "\n"
+        if args.out is None or to_file:
             _write_or_print(text, args.out)
         else:
             args.out.mkdir(parents=True, exist_ok=True)
-            (args.out / f"{clip_id}_k{args.k:.6f}.json").write_text(text)
+            (args.out / file_name(clip_id, config)).write_text(text)
     return 0
+
+
+def _cmd_sweep(args) -> int:
+    return _run_per_clip(
+        args,
+        "sweeping",
+        lambda clip_id, config, backend: run_sweep(clip_id, args.k, config, backend),
+        lambda clip_id, config: f"{clip_id}_k{args.k:.6f}.json",
+    )
 
 
 def _cmd_optimize(args) -> int:
-    backend, clip_ids = _make_backend(args)
-    config = _sweep_config(args)
-    if len(clip_ids) > 1 and args.out is not None and args.out.suffix:
-        raise ManifestError("--out must be a directory when optimizing multiple clips")
-    for clip_id in clip_ids:
-        result = optimize_clip(clip_id, config, backend, DEFAULT_OPTIMIZER)
-        text = json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
-        if args.out is None:
-            sys.stdout.write(text)
-        elif len(clip_ids) == 1 and args.out.suffix:
-            _write_or_print(text, args.out)
-        else:
-            args.out.mkdir(parents=True, exist_ok=True)
-            name = f"{clip_id}_{config.codec.value}_{config.scope.value}_{config.group.value}.json"
-            (args.out / name).write_text(text)
-    return 0
+    return _run_per_clip(
+        args,
+        "optimizing",
+        optimize_clip,
+        lambda clip_id, c: f"{clip_id}_{c.codec.value}_{c.scope.value}_{c.group.value}.json",
+    )
 
 
 def _cmd_bdrate(args) -> int:

@@ -42,7 +42,6 @@ __all__ = [
     "load_manifest",
     "EncodeJob",
     "CommandTemplate",
-    "MetricKeyPaths",
     "SyntheticClipModel",
     "synth_encode",
     "parse_metric_report",
@@ -67,7 +66,6 @@ class ClipInfo:
     height: int
     frame_count: int
     frame_rate: float
-    pix_fmt: str = "yuv420p"
 
     def __post_init__(self) -> None:
         if self.frame_count <= 0:
@@ -82,7 +80,8 @@ class ClipInfo:
 
 def load_manifest(path: Path | str) -> dict[str, ClipInfo]:
     """Load a clip manifest: a JSON array of
-    {id, path, width, height, frame_count, frame_rate, pix_fmt}."""
+    {id, path, width, height, frame_count, frame_rate}; other keys are
+    ignored."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
@@ -102,7 +101,6 @@ def load_manifest(path: Path | str) -> dict[str, ClipInfo]:
                 height=int(entry["height"]),
                 frame_count=int(entry["frame_count"]),
                 frame_rate=float(entry["frame_rate"]),
-                pix_fmt=str(entry.get("pix_fmt", "yuv420p")),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ManifestError(f"manifest {path} entry {i}: {exc!r}") from exc
@@ -199,15 +197,9 @@ def _render_argv(template: str, values: dict[str, str]) -> list[str]:
     return argv
 
 
-@dataclass(frozen=True)
-class MetricKeyPaths:
-    """Where to find pooled metric means in the report JSON.
-
-    Defaults follow the standard libvmaf JSON layout.
-    """
-
-    msssim: tuple[str, ...] = ("pooled_metrics", "float_ms_ssim", "mean")
-    vmaf: tuple[str, ...] = ("pooled_metrics", "vmaf", "mean")
+# Where the pooled metric means sit in the report: the libvmaf JSON layout.
+_MSSSIM_PATH = ("pooled_metrics", "float_ms_ssim", "mean")
+_VMAF_PATH = ("pooled_metrics", "vmaf", "mean")
 
 
 def _dig(doc, path: tuple[str, ...]):
@@ -219,11 +211,8 @@ def _dig(doc, path: tuple[str, ...]):
     return node
 
 
-def parse_metric_report(
-    report_bytes: bytes | str,
-    key_paths: MetricKeyPaths = MetricKeyPaths(),
-) -> tuple[float, float | None]:
-    """Extract (msssim, vmaf) pooled means from a metric report.
+def parse_metric_report(report_bytes: bytes | str) -> tuple[float, float | None]:
+    """Extract (msssim, vmaf) pooled means from a libvmaf JSON report.
 
     msssim is required; vmaf is optional and returned as None when its
     key path is absent.
@@ -233,14 +222,14 @@ def parse_metric_report(
     except json.JSONDecodeError as exc:
         raise MetricReportError(f"metric report is not valid JSON: {exc}") from exc
     try:
-        msssim = float(_dig(doc, key_paths.msssim))
+        msssim = float(_dig(doc, _MSSSIM_PATH))
     except (KeyError, TypeError, ValueError):
         raise MetricReportError(
-            "metric report missing msssim at path " + "/".join(key_paths.msssim)
+            "metric report missing msssim at path " + "/".join(_MSSSIM_PATH)
         ) from None
     vmaf: float | None
     try:
-        vmaf = float(_dig(doc, key_paths.vmaf))
+        vmaf = float(_dig(doc, _VMAF_PATH))
     except (KeyError, TypeError, ValueError):
         vmaf = None
     return msssim, vmaf
@@ -258,17 +247,12 @@ def _run_child(argv: list[str], label: str) -> None:
         )
 
 
-def encode_measure(
-    job: EncodeJob,
-    templates: CommandTemplate,
-    clip: ClipInfo,
-    key_paths: MetricKeyPaths = MetricKeyPaths(),
-    keep_outputs: bool = False,
-) -> RDPoint:
+def encode_measure(job: EncodeJob, templates: CommandTemplate, clip: ClipInfo) -> RDPoint:
     """Encode one job with external tools and measure its RD point.
 
     Runs the encoder, then the metric tool, parses the report, and derives
-    the bitrate from output size and clip duration.
+    the bitrate from output size and clip duration.  The output and report
+    files are removed afterwards.
     """
     if clip.path is None or not Path(clip.path).exists():
         raise EncodeFailure(f"input clip {clip.path} does not exist")
@@ -303,7 +287,7 @@ def encode_measure(
             report_bytes = report.read_bytes()
         except OSError as exc:
             raise MetricReportError(f"metric tool wrote no report at {report}: {exc}") from exc
-        msssim, vmaf = parse_metric_report(report_bytes, key_paths)
+        msssim, vmaf = parse_metric_report(report_bytes)
         if not (0.0 < msssim < 1.0):
             raise MetricReportError(
                 f"pooled msssim {msssim} outside (0, 1); cannot map to dB"
@@ -317,12 +301,11 @@ def encode_measure(
             vmaf=vmaf,
         )
     finally:
-        if not keep_outputs:
-            for f in (output, report):
-                try:
-                    f.unlink(missing_ok=True)
-                except OSError:
-                    pass
+        for f in (output, report):
+            try:
+                f.unlink(missing_ok=True)
+            except OSError:
+                pass
 
 
 @dataclass(frozen=True)
@@ -447,17 +430,9 @@ class ExternalEncoder:
     # Its encodes wait on child processes, which a pool of threads overlaps.
     in_process = False
 
-    def __init__(
-        self,
-        templates: CommandTemplate,
-        manifest: dict[str, ClipInfo],
-        key_paths: MetricKeyPaths = MetricKeyPaths(),
-        keep_outputs: bool = False,
-    ):
+    def __init__(self, templates: CommandTemplate, manifest: dict[str, ClipInfo]):
         self.templates = templates
         self.manifest = manifest
-        self.key_paths = key_paths
-        self.keep_outputs = keep_outputs
         self.invocations = 0
         self._clip_digests: dict[str, str] = {}
         self._count_lock = threading.Lock()
@@ -471,11 +446,11 @@ class ExternalEncoder:
     def measure(self, job: EncodeJob) -> RDPoint:
         with self._count_lock:
             self.invocations += 1
-        return encode_measure(
-            job, self.templates, self._clip(job.clip_id), self.key_paths, self.keep_outputs
-        )
+        return encode_measure(job, self.templates, self._clip(job.clip_id))
 
     def clip_digest(self, clip_id: str) -> str:
+        """Digest of the clip's content and of the manifest fields its
+        bitrate is computed from (frame_count and frame_rate)."""
         if clip_id not in self._clip_digests:
             clip = self._clip(clip_id)
             h = hashlib.sha256()
@@ -485,6 +460,7 @@ class ExternalEncoder:
                         h.update(chunk)
             except OSError as exc:
                 raise ManifestError(f"cannot hash clip {clip_id!r} at {clip.path}: {exc}") from exc
+            h.update(f"\x00{clip.frame_count}\x00{clip.frame_rate!r}".encode())
             self._clip_digests[clip_id] = h.hexdigest()
         return self._clip_digests[clip_id]
 

@@ -54,7 +54,7 @@ class EncodeFailure(RdtuneError):
 
 
 class MetricReportError(RdtuneError):
-    """A metric report could not be parsed or lacks a configured key path."""
+    """A metric report could not be parsed or lacks the MS-SSIM mean."""
 
 
 class ManifestError(RdtuneError):

@@ -317,28 +317,29 @@ def matched_qp_savings(reference: RDCurve, test: RDCurve, qp: int) -> float:
     return (test_rate - ref_rate) / ref_rate * 100.0
 
 
+def _shared_ladder(reference: RDCurve, test: RDCurve) -> list[int]:
+    """The curves' QPs, ascending; LadderMismatchError unless they match."""
+    ref_qps, test_qps = sorted(reference.qps), sorted(test.qps)
+    if ref_qps != test_qps:
+        raise LadderMismatchError(
+            f"QP ladders differ: reference {ref_qps} vs test {test_qps}"
+        )
+    return ref_qps
+
+
 def mean_matched_savings(reference: RDCurve, test: RDCurve) -> float:
     """Arithmetic mean of matched-QP savings over the shared ladder.
 
     Both curves must cover exactly the same QPs.
     """
-    ref_qps, test_qps = sorted(reference.qps), sorted(test.qps)
-    if ref_qps != test_qps:
-        raise LadderMismatchError(
-            f"QP ladders differ: reference {ref_qps} vs test {test_qps}"
-        )
-    return float(np.mean([matched_qp_savings(reference, test, qp) for qp in ref_qps]))
+    qps = _shared_ladder(reference, test)
+    return float(np.mean([matched_qp_savings(reference, test, qp) for qp in qps]))
 
 
 def mean_vmaf_delta(reference: RDCurve, test: RDCurve) -> float | None:
     """Mean VMAF change over the shared ladder; None if any point lacks VMAF."""
-    ref_qps, test_qps = sorted(reference.qps), sorted(test.qps)
-    if ref_qps != test_qps:
-        raise LadderMismatchError(
-            f"QP ladders differ: reference {ref_qps} vs test {test_qps}"
-        )
     deltas = []
-    for qp in ref_qps:
+    for qp in _shared_ladder(reference, test):
         rv, tv = reference.point_at(qp).vmaf, test.point_at(qp).vmaf
         if rv is None or tv is None:
             return None

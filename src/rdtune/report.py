@@ -91,9 +91,7 @@ def _cell(row: SummaryRow, field: str) -> str:
     value = getattr(row, field)
     if value is None:
         return "-"
-    if field == "clips":
-        return str(value)
-    if field in ("codec", "scope", "group"):
+    if field in ("clips", "codec", "scope", "group"):
         return str(value)
     return f"{value:.3f}"
 

@@ -23,9 +23,10 @@ Only such a backend's jobs get a work dir for encoder output, under
 without a cache dir); an in-process backend writes no files, and its jobs
 carry work_dir None.
 
-The search runs bracketing plus Brent over ln k.  It has one
-failure rule: any RdtuneError raised while bracketing or refining (a probe
-whose sweep or BD-Rate fails, or no bracket inside the k bounds) ends the
+The search is one fixed bracketing plus Brent over ln k, at
+DEFAULT_OPTIMIZER's tolerance and iteration cap.  It has one failure
+rule: any RdtuneError raised while bracketing or refining (a probe whose
+sweep or BD-Rate fails, or no bracket inside the k bounds) ends the
 search, and k-hat is the best trial evaluated up to then, including the
 k=1 baseline, so no clip can regress: reported bd_rate is always <= 0.
 The result's stop_reason says why the search ended.  Only an encode whose
@@ -644,58 +645,48 @@ def load_result(path: Path | str) -> OptimizationResult:
     return OptimizationResult.from_dict(json.loads(Path(path).read_text()))
 
 
-def optimize_clip(
-    clip_id: str,
-    config: SweepConfig,
-    backend: EncoderBackend,
-    optimizer: OptimizerConfig = DEFAULT_OPTIMIZER,
-    *,
-    cache: PointCache | None = None,
-) -> OptimizationResult:
+def optimize_clip(clip_id: str, config: SweepConfig, backend: EncoderBackend) -> OptimizationResult:
     """Find the scale factor minimizing BD-Rate against the clip's k=1 curve.
 
     Brackets downhill from the seeds k = 0.5 and k = 1 inside the window
-    k in [1/16, 16], then runs Brent, both over ln k.  Each probe is
-    memoized on a 1e-6 grid of ln k, so a re-probe is free.  Any
-    RdtuneError raised on the way (no bracket, or a probe that fails) ends
-    the search; k-hat is always the best trial evaluated, including the
-    k=1 baseline, and stop_reason records why the search ended.  A clip no
-    trial improves reports k-hat 1 and zero for every change.  A failed
-    reference sweep propagates, since no result can be reported without
-    the k=1 curve.  total_invocations also counts the encodes of a probe
-    that failed.  For a backend over child processes every sweep of the
-    call runs its encodes on one pool of config.workers threads; an
-    in-process backend's run on the calling thread.  The store is chosen
-    as in run_sweep.
+    k in [1/16, 16], then runs Brent with DEFAULT_OPTIMIZER, both over
+    ln k.  Every probe is a trial; a repeated probe would cost no encodes,
+    since the cache serves its points.  Any RdtuneError raised on the way
+    (no bracket, or a probe that fails) ends the search; k-hat is always
+    the best trial evaluated, including the k=1 baseline, and stop_reason
+    records why the search ended.  A clip no trial improves reports k-hat
+    1 and zero for every change.  A failed reference sweep propagates,
+    since no result can be reported without the k=1 curve.
+    total_invocations also counts the encodes of a probe that failed.  For
+    a backend over child processes every sweep of the call runs its
+    encodes on one pool of config.workers threads; an in-process backend's
+    run on the calling thread.  The store is that of config.cache_dir, as
+    in run_sweep.
     """
-    cache = cache or _default_store(config.cache_dir)
+    cache = _default_store(config.cache_dir)
     trials: list[TrialRecord] = []
-    memo: dict[int, float] = {}
     failed_encodes = 0
     with _encode_pool(config, backend) as pool:
         reference, _ = _sweep(clip_id, 1.0, config, backend, cache, pool)
 
         def cost(ln_k: float) -> float:
             nonlocal failed_encodes
-            grid = round(ln_k / 1e-6)
-            if grid not in memo:
-                try:
-                    trial = evaluate_cost(
-                        clip_id, math.exp(ln_k), reference, config, backend, cache, pool=pool
-                    )
-                except RdtuneError as exc:
-                    failed_encodes += getattr(exc, "fresh_encodes", 0)
-                    raise
-                trials.append(trial)
-                memo[grid] = trial.cost
-            return memo[grid]
+            try:
+                trial = evaluate_cost(
+                    clip_id, math.exp(ln_k), reference, config, backend, cache, pool=pool
+                )
+            except RdtuneError as exc:
+                failed_encodes += getattr(exc, "fresh_encodes", 0)
+                raise
+            trials.append(trial)
+            return trial.cost
 
         try:
             bracket = bracket_minimum(
                 cost, *_LN_K_SEEDS, max_expansions=_MAX_EXPANSIONS,
                 lo=_LN_K_BOUNDS[0], hi=_LN_K_BOUNDS[1],
             )
-            _, _, trace = brent_minimize(cost, bracket, optimizer)
+            _, _, trace = brent_minimize(cost, bracket, DEFAULT_OPTIMIZER)
             stop_reason = "converged" if trace.converged else "max_iters"
         except BracketError:
             stop_reason = "no_bracket"

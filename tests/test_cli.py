@@ -131,6 +131,41 @@ class TestSweepCommand:
         assert "finite" in err
 
 
+class TestPerClipOutput:
+    TEMPLATES = ["--encoder-template", "enc {input} {output} {qp}",
+                 "--metric-template", "met {reference} {distorted} {report}"]
+
+    @pytest.mark.parametrize("command, verb", [("sweep", "sweeping"), ("optimize", "optimizing")])
+    def test_out_file_with_two_clips_is_an_error(self, tmp_path, capsys, command, verb):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([
+            {"id": c, "path": str(tmp_path / f"{c}.yuv"), "width": 64, "height": 64,
+             "frame_count": 25, "frame_rate": 25.0}
+            for c in ("a", "b")
+        ]))
+        out = tmp_path / "result.json"
+        argv = [command, "--manifest", str(manifest), *self.TEMPLATES, "--out", str(out)]
+        status = cli_dispatch(argv)
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {command}: --out must be a directory when {verb} multiple clips\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["sweep", "--k", "2"], "synthetic_k2.000000.json"),
+            (["optimize", "--group", "KF_GF_ARF"], "synthetic_AV1_Top_KF_GF_ARF.json"),
+        ],
+        ids=["sweep", "optimize"],
+    )
+    def test_out_dir_names_the_file_per_clip(self, tmp_path, capsys, argv, name):
+        out = tmp_path / "out"
+        assert cli_dispatch([*argv, "--synthetic", "default", "--out", str(out)]) == 0
+        assert [p.name for p in out.iterdir()] == [name]
+        assert capsys.readouterr().out == ""
+
+
 class TestReportCommand:
     @pytest.fixture
     def results(self, tmp_path):

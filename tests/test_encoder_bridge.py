@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,6 @@ from rdtune.encoder_bridge import (
     CommandTemplate,
     EncodeJob,
     ExternalEncoder,
-    MetricKeyPaths,
     SyntheticClipModel,
     SyntheticEncoder,
     encode_measure,
@@ -27,6 +27,7 @@ from rdtune.encoder_bridge import (
     synth_encode,
 )
 from rdtune.lambda_model import CodecId, FrameTypeGroup, LambdaScope
+from rdtune.sweep import SweepConfig, run_sweep
 
 import oracles
 
@@ -71,7 +72,7 @@ def stub_tools(tmp_path):
     clip_file.write_bytes(b"\x10" * 4096)
     clip = ClipInfo(
         id="clipA", path=clip_file, width=64, height=64,
-        frame_count=130, frame_rate=25.0, pix_fmt="yuv420p",
+        frame_count=130, frame_rate=25.0,
     )
     log = tmp_path / "argv.log"
     return enc, met, clip, log
@@ -175,13 +176,6 @@ class TestParseMetricReport:
     def test_missing_msssim_names_path(self):
         with pytest.raises(MetricReportError, match="pooled_metrics/float_ms_ssim/mean"):
             parse_metric_report(json.dumps({"pooled_metrics": {}}))
-
-    def test_custom_key_paths(self):
-        paths = MetricKeyPaths(msssim=("ms_ssim",), vmaf=("scores", "vmaf"))
-        msssim, vmaf = parse_metric_report(
-            json.dumps({"ms_ssim": 0.5, "scores": {"vmaf": 10.0}}), paths
-        )
-        assert msssim == 0.5 and vmaf == 10.0
 
 
 class TestSyntheticModel:
@@ -293,12 +287,9 @@ class TestEncodeMeasure:
         enc, met, clip, log = stub_tools
         templates = stub_templates(enc, met, log)
         job = make_job(qp=39, work_dir=tmp_path / "w")
-        a = encode_measure(job, templates, clip, keep_outputs=True)
-        out_file = next((tmp_path / "w").glob("*.out"))
-        first_bytes = out_file.read_bytes()
-        b = encode_measure(job, templates, clip, keep_outputs=True)
+        a = encode_measure(job, templates, clip)
+        b = encode_measure(job, templates, clip)
         assert a == b
-        assert out_file.read_bytes() == first_bytes
 
     def test_k_flag_forwarded(self, stub_tools, tmp_path):
         enc, met, clip, log = stub_tools
@@ -356,6 +347,32 @@ class TestBackends:
         backend2 = ExternalEncoder(stub_templates(enc, met, log), {clip.id: clip})
         clip.path.write_bytes(b"\x20" * 4096)
         assert backend2.clip_digest("clipA") != first
+
+    def test_external_clip_digest_tracks_duration_fields(self, stub_tools):
+        enc, met, clip, log = stub_tools
+        first = ExternalEncoder(stub_templates(enc, met, log), {clip.id: clip}).clip_digest("clipA")
+        for changed in (replace(clip, frame_rate=50.0), replace(clip, frame_count=260)):
+            backend = ExternalEncoder(stub_templates(enc, met, log), {clip.id: changed})
+            assert backend.clip_digest("clipA") != first
+
+    def test_changed_frame_rate_re_encodes(self, stub_tools, tmp_path):
+        # The bitrate is computed from the manifest's duration, so a cached
+        # point measured at another frame rate must not be served.
+        enc, met, clip, log = stub_tools
+        config = SweepConfig(codec=CodecId.AV1, qp_ladder=(27, 39), workers=2,
+                             cache_dir=tmp_path / "cache")
+
+        def sweep_at(info):
+            backend = ExternalEncoder(stub_templates(enc, met, log), {info.id: info})
+            return run_sweep(info.id, 1.0, config, backend), backend.invocations
+
+        at_25, encodes = sweep_at(clip)
+        assert encodes == 2
+        assert sweep_at(clip) == (at_25, 0)
+        at_50, encodes = sweep_at(replace(clip, frame_rate=50.0))
+        assert encodes == 2
+        for slow, fast in zip(at_25.points, at_50.points):
+            assert fast.bitrate_kbps == pytest.approx(2.0 * slow.bitrate_kbps, rel=1e-12)
 
     def test_external_unknown_clip(self, stub_tools):
         enc, met, clip, log = stub_tools

@@ -897,6 +897,24 @@ class TestOptimizeClip:
         if k_hat is not None:
             assert result.k_hat == pytest.approx(k_hat, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "model_kwargs, stop_reason",
+        [
+            ({}, "converged"),
+            ({"gamma": 0.01, "k_star": 1.0}, "converged"),
+            ({"c": 4.0, "k_star": 2.5}, "failed_probe"),
+            ({"c": 0.8, "k_star": 10.0}, "no_bracket"),
+        ],
+    )
+    def test_no_two_trials_share_a_k(self, tmp_path, model_kwargs, stop_reason):
+        # A repeated probe would cost no encodes (the cache serves it) but
+        # would still be a wasted trial: the search never makes one.
+        backend = synthetic_backend(**model_kwargs)
+        result = optimize_clip("clip", av1_config(cache_dir=tmp_path), backend)
+        assert result.stop_reason == stop_reason
+        ks = [sweep._quantize_k(t.k) for t in result.trials]
+        assert len(ks) == len(set(ks)), sorted(ks)
+
     def test_deterministic_failure_is_tried_once(self, tmp_path):
         # The k=0.5 seed underflows the quality model at three QPs; those
         # encodes are not retried and the search ends at that probe.
@@ -915,9 +933,9 @@ class TestOptimizeClip:
         assert (baseline.k, baseline.cost, baseline.encoder_invocations) == (1.0, 0.0, 0)
         assert baseline.curve == result.reference_curve
 
-    def test_stop_reason_max_iters(self, tmp_path):
-        optimizer = replace(DEFAULT_OPTIMIZER, xtol=1e-9, max_iters=3)
-        result = optimize_clip("clip", av1_config(cache_dir=tmp_path), synthetic_backend(), optimizer)
+    def test_stop_reason_max_iters(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sweep, "DEFAULT_OPTIMIZER", replace(DEFAULT_OPTIMIZER, xtol=1e-9, max_iters=3))
+        result = optimize_clip("clip", av1_config(cache_dir=tmp_path), synthetic_backend())
         assert result.stop_reason == "max_iters"
         assert result.improved
 
