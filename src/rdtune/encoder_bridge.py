@@ -22,6 +22,7 @@ import random
 import re
 import shlex
 import subprocess
+import tempfile
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -114,7 +115,12 @@ def load_manifest(path: Path | str) -> dict[str, ClipInfo]:
 
 @dataclass(frozen=True)
 class EncodeJob:
-    """One encoder invocation: encode clip at (qp, k, group, scope)."""
+    """One encoder invocation: encode clip at (qp, k, group, scope).
+
+    work_dir is where an external encode makes its own temporary directory
+    for the output and report files (the system temp dir when None); sweeps
+    set it to <cache-dir>/work.
+    """
 
     clip_id: str
     codec: CodecId
@@ -187,11 +193,11 @@ class CommandTemplate:
 
 
 def _render_argv(template: str, values: dict[str, str]) -> list[str]:
-    argv = []
-    for token in shlex.split(template):
-        for name, value in values.items():
-            token = token.replace("{%s}" % name, value)
-        argv.append(token)
+    # One pass per token, so placeholder text inside a value stays literal.
+    argv = [
+        _PLACEHOLDER_RE.sub(lambda m: values.get(m[1], m[0]), token)
+        for token in shlex.split(template)
+    ]
     if not argv:
         raise TemplateError("template renders to an empty command")
     return argv
@@ -237,11 +243,12 @@ def parse_metric_report(report_bytes: bytes | str) -> tuple[float, float | None]
 
 def _run_child(argv: list[str], label: str) -> None:
     try:
-        proc = subprocess.run(argv, capture_output=True, text=True)
+        proc = subprocess.run(argv, capture_output=True)
     except OSError as exc:
         raise EncodeFailure(f"{label} failed to start ({argv[0]!r}): {exc}") from exc
     if proc.returncode != 0:
-        tail = (proc.stderr or proc.stdout or "").strip()[-2000:]
+        # Child output need not be UTF-8; only a failure's tail is decoded.
+        tail = (proc.stderr or proc.stdout).decode(errors="replace").strip()[-2000:]
         raise EncodeFailure(
             f"{label} exited with status {proc.returncode}: {' '.join(argv)}", tail
         )
@@ -251,33 +258,34 @@ def encode_measure(job: EncodeJob, templates: CommandTemplate, clip: ClipInfo) -
     """Encode one job with external tools and measure its RD point.
 
     Runs the encoder, then the metric tool, parses the report, and derives
-    the bitrate from output size and clip duration.  The output and report
-    files are removed afterwards.
+    the bitrate from output size and clip duration.  Each call works in a
+    temporary directory of its own, made under job.work_dir (created if
+    missing) or the system temp dir, and removed with the output and
+    report files afterwards; a failed removal never fails the encode.
     """
     if clip.path is None or not Path(clip.path).exists():
         raise EncodeFailure(f"input clip {clip.path} does not exist")
-    work_dir = job.work_dir or Path(".")
-    work_dir.mkdir(parents=True, exist_ok=True)
-    output = work_dir / f"{clip.id}_qp{job.qp}_k{job.k:.6f}.out"
-    report = work_dir / f"{clip.id}_qp{job.qp}_k{job.k:.6f}.report.json"
+    if job.work_dir is not None:
+        job.work_dir.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=job.work_dir, ignore_cleanup_errors=True) as scratch:
+        output = Path(scratch) / f"encode_qp{job.qp}_k{job.k:.6f}.out"
+        report = Path(scratch) / f"encode_qp{job.qp}_k{job.k:.6f}.report.json"
+        enc_argv = _render_argv(
+            templates.encoder_template,
+            {
+                "input": str(clip.path),
+                "output": str(output),
+                "qp": str(job.qp),
+                "k": f"{job.k:.6f}",
+                "frame_group": job.group.value,
+                "scope": job.scope.value,
+            },
+        )
+        met_argv = _render_argv(
+            templates.metric_template,
+            {"reference": str(clip.path), "distorted": str(output), "report": str(report)},
+        )
 
-    enc_argv = _render_argv(
-        templates.encoder_template,
-        {
-            "input": str(clip.path),
-            "output": str(output),
-            "qp": str(job.qp),
-            "k": f"{job.k:.6f}",
-            "frame_group": job.group.value,
-            "scope": job.scope.value,
-        },
-    )
-    met_argv = _render_argv(
-        templates.metric_template,
-        {"reference": str(clip.path), "distorted": str(output), "report": str(report)},
-    )
-
-    try:
         _run_child(enc_argv, "encoder")
         if not output.exists() or output.stat().st_size == 0:
             raise EncodeFailure(f"encoder produced no output at {output}")
@@ -287,25 +295,19 @@ def encode_measure(job: EncodeJob, templates: CommandTemplate, clip: ClipInfo) -
             report_bytes = report.read_bytes()
         except OSError as exc:
             raise MetricReportError(f"metric tool wrote no report at {report}: {exc}") from exc
-        msssim, vmaf = parse_metric_report(report_bytes)
-        if not (0.0 < msssim < 1.0):
-            raise MetricReportError(
-                f"pooled msssim {msssim} outside (0, 1); cannot map to dB"
-            )
-        bitrate_kbps = size_bytes * 8.0 / clip.duration_seconds / 1000.0
-        return RDPoint(
-            qp=job.qp,
-            bitrate_kbps=bitrate_kbps,
-            msssim=msssim,
-            msssim_db=msssim_to_db(msssim),
-            vmaf=vmaf,
+    msssim, vmaf = parse_metric_report(report_bytes)
+    if not (0.0 < msssim < 1.0):
+        raise MetricReportError(
+            f"pooled msssim {msssim} outside (0, 1); cannot map to dB"
         )
-    finally:
-        for f in (output, report):
-            try:
-                f.unlink(missing_ok=True)
-            except OSError:
-                pass
+    bitrate_kbps = size_bytes * 8.0 / clip.duration_seconds / 1000.0
+    return RDPoint(
+        qp=job.qp,
+        bitrate_kbps=bitrate_kbps,
+        msssim=msssim,
+        msssim_db=msssim_to_db(msssim),
+        vmaf=vmaf,
+    )
 
 
 @dataclass(frozen=True)

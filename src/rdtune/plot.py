@@ -22,6 +22,12 @@ __all__ = ["PlotLayout", "compute_layout", "emit_plot", "render_svg"]
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#e377c2"]
 _SAMPLES_PER_CURVE = 200
 
+# Canvas size and the margins around the plot area, in pixels.
+_WIDTH, _HEIGHT = 760, 480
+_MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM = 64, 170, 28, 48
+_PLOT_WIDTH = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+_PLOT_HEIGHT = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
+
 
 @dataclass(frozen=True)
 class PlotLayout:
@@ -31,31 +37,17 @@ class PlotLayout:
     x_max: float
     y_min: float  # quality, dB
     y_max: float
-    width: int = 760
-    height: int = 480
-    margin_left: int = 64
-    margin_right: int = 170
-    margin_top: int = 28
-    margin_bottom: int = 48
-
-    @property
-    def plot_width(self) -> float:
-        return self.width - self.margin_left - self.margin_right
-
-    @property
-    def plot_height(self) -> float:
-        return self.height - self.margin_top - self.margin_bottom
 
     def x_px(self, log_rate: float) -> float:
         t = (log_rate - self.x_min) / (self.x_max - self.x_min)
-        return self.margin_left + t * self.plot_width
+        return _MARGIN_LEFT + t * _PLOT_WIDTH
 
     def y_px(self, quality_db: float) -> float:
         t = (quality_db - self.y_min) / (self.y_max - self.y_min)
-        return self.margin_top + (1.0 - t) * self.plot_height
+        return _MARGIN_TOP + (1.0 - t) * _PLOT_HEIGHT
 
 
-def compute_layout(curves: list[RDCurve], width: int = 760, height: int = 480) -> PlotLayout:
+def compute_layout(curves: list[RDCurve]) -> PlotLayout:
     """Layout spanning all curves with a 4% pad on each axis."""
     if not curves:
         raise ValueError("need at least one curve to plot")
@@ -68,8 +60,6 @@ def compute_layout(curves: list[RDCurve], width: int = 760, height: int = 480) -
         x_max=float(xs.max() + x_pad),
         y_min=float(ys.min() - y_pad),
         y_max=float(ys.max() + y_pad),
-        width=width,
-        height=height,
     )
 
 
@@ -88,13 +78,13 @@ def render_svg(curves: list[RDCurve], layout: PlotLayout | None = None, title: s
     """Render the curves to an SVG document string."""
     layout = layout or compute_layout(curves)
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{layout.width}" '
-        f'height="{layout.height}" viewBox="0 0 {layout.width} {layout.height}">',
-        f'<rect width="{layout.width}" height="{layout.height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
 
-    x0, x1 = layout.margin_left, layout.margin_left + layout.plot_width
-    y0, y1 = layout.margin_top, layout.margin_top + layout.plot_height
+    x0, x1 = _MARGIN_LEFT, _MARGIN_LEFT + _PLOT_WIDTH
+    y0, y1 = _MARGIN_TOP, _MARGIN_TOP + _PLOT_HEIGHT
 
     # Axes, ticks, grid.
     for t in np.linspace(layout.x_min, layout.x_max, 5):
@@ -118,11 +108,11 @@ def render_svg(curves: list[RDCurve], layout: PlotLayout | None = None, title: s
             f'text-anchor="end" font-family="sans-serif">{t:.1f}</text>'
         )
     parts.append(
-        f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(layout.plot_width)}" '
-        f'height="{_fmt(layout.plot_height)}" fill="none" stroke="#333333"/>'
+        f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(_PLOT_WIDTH)}" '
+        f'height="{_fmt(_PLOT_HEIGHT)}" fill="none" stroke="#333333"/>'
     )
     parts.append(
-        f'<text x="{_fmt((x0 + x1) / 2)}" y="{_fmt(layout.height - 10)}" font-size="12" '
+        f'<text x="{_fmt((x0 + x1) / 2)}" y="{_fmt(_HEIGHT - 10)}" font-size="12" '
         f'text-anchor="middle" font-family="sans-serif">Bitrate (kbps, log scale)</text>'
     )
     parts.append(

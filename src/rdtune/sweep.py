@@ -18,10 +18,10 @@ ledger in one write.  A backend whose encodes run in child processes gets
 one pool of config.workers threads per optimize_clip or run_sweep call:
 the sweep's hits go to the ledger in one write, and each fresh point as
 soon as its encode completes, so a killed run loses no finished encode.
-Only such a backend's jobs get a work dir for encoder output, under
-<cache-dir>/work/<pid>/<key[:16]> (rdtune-work/<pid>/... in the temp dir
-without a cache dir); an in-process backend writes no files, and its jobs
-carry work_dir None.
+Every job carries work_dir <cache-dir>/work (None without a cache dir):
+each external encode makes its own temporary directory there (or in the
+system temp dir) and removes it when done; the synthetic backend writes
+no files.
 
 The search is one fixed bracketing plus Brent over ln k, at
 DEFAULT_OPTIMIZER's tolerance and iteration cap.  It has one failure
@@ -41,13 +41,12 @@ import hashlib
 import json
 import math
 import os
-import tempfile
 import threading
 import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
 
@@ -90,11 +89,10 @@ DEFAULT_QP_LADDERS: dict[CodecId, tuple[int, ...]] = {
 
 DEFAULT_OPTIMIZER = OptimizerConfig(xtol=0.01, max_iters=25)
 
-# The search over ln k: the window k in [1/16, 16], the downhill seeds
-# k = 0.5 and k = 1, and how many times the bracket may grow.
+# The search over ln k: the window k in [1/16, 16] and the downhill seeds
+# k = 0.5 and k = 1.
 _LN_K_BOUNDS = (math.log(1.0 / 16.0), math.log(16.0))
 _LN_K_SEEDS = (math.log(0.5), 0.0)
-_MAX_EXPANSIONS = 32
 
 _K_QUANTUM = 1e-6
 
@@ -112,7 +110,6 @@ class EncoderBackend(Protocol):
     threads.
     """
 
-    invocations: int
     in_process: bool
 
     def measure(self, job: EncodeJob) -> RDPoint: ...
@@ -381,17 +378,6 @@ def _ledger_record(
     }
 
 
-def _work_root(config: SweepConfig) -> Path:
-    """Encoder scratch space for a backend over child processes, private to
-    this process, so processes encoding the same key never write the same
-    output or report file."""
-    if config.cache_dir is not None:
-        base = config.cache_dir / "work"
-    else:
-        base = Path(tempfile.gettempdir()) / "rdtune-work"
-    return base / str(os.getpid())
-
-
 def _encode_pool(config: SweepConfig, backend: EncoderBackend):
     """Context giving the encode pool of one call: config.workers threads
     for a backend over child processes, None for an in-process one."""
@@ -414,17 +400,14 @@ def _sweep(
     fresh_encodes counts the encodes it dispatched."""
     template_digest = backend.template_digest()
     clip_digest = backend.clip_digest(clip_id)
-    # Only encodes in child processes write files.
-    work_root = None if backend.in_process else _work_root(config)
+    work_dir = None if config.cache_dir is None else config.cache_dir / "work"
 
     points: dict[int, RDPoint] = {}
     hits: list[dict] = []
     pending: list[tuple[int, EncodeJob, str]] = []
     for qp in config.qp_ladder:
-        job = EncodeJob(clip_id, config.codec, qp, k, config.group, config.scope)
+        job = EncodeJob(clip_id, config.codec, qp, k, config.group, config.scope, work_dir)
         key = cache_key(job, template_digest, clip_digest)
-        if work_root is not None:
-            job = replace(job, work_dir=work_root / key[:16])
         point = cache.get(key)
         if point is not None:
             points[qp] = point
@@ -682,10 +665,7 @@ def optimize_clip(clip_id: str, config: SweepConfig, backend: EncoderBackend) ->
             return trial.cost
 
         try:
-            bracket = bracket_minimum(
-                cost, *_LN_K_SEEDS, max_expansions=_MAX_EXPANSIONS,
-                lo=_LN_K_BOUNDS[0], hi=_LN_K_BOUNDS[1],
-            )
+            bracket = bracket_minimum(cost, *_LN_K_SEEDS, lo=_LN_K_BOUNDS[0], hi=_LN_K_BOUNDS[1])
             _, _, trace = brent_minimize(cost, bracket, DEFAULT_OPTIMIZER)
             stop_reason = "converged" if trace.converged else "max_iters"
         except BracketError:

@@ -61,6 +61,19 @@ sys.stderr.write("simulated encoder crash\\n")
 sys.exit(3)
 """
 
+# Progress output that is not UTF-8, then the ENCODER_STUB behaviour.
+NON_UTF8_ENCODER_STUB = """\
+import sys
+sys.stdout.buffer.write(b"progress \\xff\\xfe\\n")
+sys.stderr.buffer.write(b"progress \\xff\\xfe\\n")
+""" + ENCODER_STUB
+
+FAILING_NON_UTF8_ENCODER_STUB = """\
+import sys
+sys.stderr.buffer.write(b"crash at \\xff\\xfe\\n")
+sys.exit(3)
+"""
+
 
 @pytest.fixture
 def stub_tools(tmp_path):
@@ -301,8 +314,42 @@ class TestEncodeMeasure:
         enc, met, clip, log = stub_tools
         templates = stub_templates(enc, met, log)
         encode_measure(make_job(work_dir=tmp_path / "w"), templates, clip)
-        assert list((tmp_path / "w").glob("*.out")) == []
-        assert list((tmp_path / "w").glob("*.report.json")) == []
+        assert list((tmp_path / "w").iterdir()) == []
+
+    def test_each_encode_gets_its_own_removed_directory(self, stub_tools, tmp_path):
+        enc, met, clip, log = stub_tools
+        templates = stub_templates(enc, met, log)
+        job = make_job(work_dir=tmp_path / "w")
+        encode_measure(job, templates, clip)
+        encode_measure(job, templates, clip)
+        dirs = [Path(line.split()[1]).parent for line in log.read_text().splitlines()]
+        assert len(dirs) == 2 and dirs[0] != dirs[1]
+        for d in dirs:
+            assert d.parent == tmp_path / "w"
+            assert not d.exists()
+
+    def test_non_utf8_output_of_a_working_encoder(self, stub_tools, tmp_path):
+        enc, met, clip, log = stub_tools
+        noisy = tmp_path / "noisy_encoder.py"
+        noisy.write_text(NON_UTF8_ENCODER_STUB)
+        point = encode_measure(make_job(qp=3), stub_templates(noisy, met, log), clip)
+        assert point.msssim == pytest.approx(0.99, abs=1e-12)
+
+    def test_non_utf8_stderr_of_a_failing_encoder(self, stub_tools, tmp_path):
+        enc, met, clip, log = stub_tools
+        bad = tmp_path / "bad_encoder.py"
+        bad.write_text(FAILING_NON_UTF8_ENCODER_STUB)
+        with pytest.raises(EncodeFailure) as info:
+            encode_measure(make_job(), stub_templates(bad, met, log), clip)
+        assert "crash at \ufffd\ufffd" in info.value.captured_output
+
+    def test_placeholder_text_in_a_value_stays_literal(self, stub_tools, tmp_path):
+        enc, met, clip, log = stub_tools
+        path = tmp_path / "{qp}" / "clip.yuv"
+        path.parent.mkdir()
+        path.write_bytes(clip.path.read_bytes())
+        encode_measure(make_job(qp=39), stub_templates(enc, met, log), replace(clip, path=path))
+        assert log.read_text().split()[0] == str(path)
 
     def test_encoder_failure_captured(self, stub_tools, tmp_path):
         enc, met, clip, log = stub_tools
@@ -373,6 +420,28 @@ class TestBackends:
         assert encodes == 2
         for slow, fast in zip(at_25.points, at_50.points):
             assert fast.bitrate_kbps == pytest.approx(2.0 * slow.bitrate_kbps, rel=1e-12)
+
+    def test_external_sweep_leaves_only_the_ledger(self, stub_tools, tmp_path):
+        enc, met, clip, log = stub_tools
+        cache = tmp_path / "cache"
+        config = SweepConfig(codec=CodecId.AV1, qp_ladder=(27, 39), workers=2, cache_dir=cache)
+        backend = ExternalEncoder(stub_templates(enc, met, log), {clip.id: clip})
+        run_sweep(clip.id, 1.5, config, backend)
+        assert sorted(p.name for p in cache.iterdir()) == ["ledger.jsonl", "work"]
+        assert list((cache / "work").iterdir()) == []
+
+    @pytest.mark.parametrize("clip_id", ["set1/clipA", "../../../clipB"])
+    def test_clip_id_never_names_a_path(self, stub_tools, tmp_path, clip_id):
+        enc, met, clip, log = stub_tools
+        cache = tmp_path / "cache"
+        config = SweepConfig(codec=CodecId.AV1, qp_ladder=(27, 39), workers=2, cache_dir=cache)
+        backend = ExternalEncoder(stub_templates(enc, met, log), {clip_id: replace(clip, id=clip_id)})
+        curve = run_sweep(clip_id, 1.0, config, backend)
+        assert sorted(curve.qps) == [27, 39]
+        outputs = [Path(line.split()[1]) for line in log.read_text().splitlines()]
+        assert len(outputs) == 2
+        for output in outputs:
+            assert output.resolve().is_relative_to((cache / "work").resolve())
 
     def test_external_unknown_clip(self, stub_tools):
         enc, met, clip, log = stub_tools

@@ -5,13 +5,11 @@ import multiprocessing
 import os
 import shutil
 import sys
-import tempfile
 import threading
 import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -184,10 +182,10 @@ def _sweep_in_child(cache_dir, queue):
     """Child half of the two-process test: sweep k=2 (encoded by the parent)
     and k=1, and report fresh encodes and work dirs per sweep."""
     class Recording(SyntheticEncoder):
-        in_process = False  # the pooled path, where jobs carry a work dir
+        in_process = False  # the pooled path, as for an external backend
 
         def measure(self, job):
-            work_dirs.add(str(job.work_dir.parent))
+            work_dirs.add(str(job.work_dir))
             return super().measure(job)
 
     counts, work_dirs = [], set()
@@ -363,7 +361,7 @@ class TestPointCache:
     def test_processes_sharing_a_dir_reuse_encodes(self, tmp_path):
         # This process opens its store and encodes k=2; a child process then
         # reuses those and encodes k=1, which this process's open store
-        # picks up on its next miss.  Each encodes under its own work dir.
+        # picks up on its next miss.  Both hand their jobs <cache-dir>/work.
         config = av1_config(cache_dir=tmp_path)
         parent = synthetic_backend()
         run_sweep("clip", 2.0, config, parent)
@@ -377,7 +375,7 @@ class TestPointCache:
             child.join(timeout=120.0)
         assert not child.is_alive()
         assert counts == [0, 5]
-        assert work_dirs == [str(tmp_path / "work" / str(child_pid))]
+        assert work_dirs == [str(tmp_path / "work")]
         assert child_pid != os.getpid()
         run_sweep("clip", 1.0, config, parent)
         assert parent.invocations == 5
@@ -470,34 +468,23 @@ class TestStoreAndPool:
             assert trial.encoder_invocations == 5
             assert pool.submitted == 5
 
-    def test_work_dir_is_private_to_the_process(self, tmp_path):
-        work_dirs = set()
+    def test_jobs_carry_the_cache_work_dir(self, tmp_path):
+        # Every job of a sweep carries <cache-dir>/work, or None without a
+        # cache dir, on either dispatch path.
+        work_dirs = []
 
         class Recording(SyntheticEncoder):
-            in_process = False  # the pooled path, where jobs carry a work dir
-
             def measure(self, job):
-                work_dirs.add(job.work_dir.parent)
+                work_dirs.append(job.work_dir)
                 return super().measure(job)
 
-        pid = str(os.getpid())
-        backend = Recording(SyntheticClipModel(), "clip")
-        run_sweep("clip", 1.0, av1_config(cache_dir=tmp_path), backend)
-        assert work_dirs == {tmp_path / "work" / pid}
-        work_dirs.clear()
-        run_sweep("clip", 1.0, av1_config(), Recording(SyntheticClipModel(), "clip"))
-        assert work_dirs == {Path(tempfile.gettempdir()) / "rdtune-work" / pid}
-
-        # An in-process backend writes no files, so its jobs get no work dir.
-        in_process_dirs = []
-
-        class InProcess(SyntheticEncoder):
-            def measure(self, job):
-                in_process_dirs.append(job.work_dir)
-                return super().measure(job)
-
-        run_sweep("clip", 2.0, av1_config(cache_dir=tmp_path), InProcess(SyntheticClipModel(), "clip"))
-        assert in_process_dirs == [None] * 5
+        for in_process in (True, False):
+            for cache_dir in (tmp_path / str(in_process), None):
+                backend = Recording(SyntheticClipModel(), "clip")
+                backend.in_process = in_process
+                run_sweep("clip", 1.0, av1_config(cache_dir=cache_dir), backend)
+                assert work_dirs == [cache_dir and cache_dir / "work"] * 5
+                work_dirs.clear()
 
 
 class TestRunSweep:
