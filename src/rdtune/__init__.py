@@ -69,6 +69,7 @@ from .sweep import (
     evaluate_cost,
     load_result,
     optimize_clip,
+    optimize_clips,
     run_sweep,
     save_result,
 )

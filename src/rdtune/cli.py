@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import closing
 from pathlib import Path
+from urllib.parse import quote
 
 from .encoder_bridge import (
     CommandTemplate,
@@ -28,7 +30,8 @@ from .sweep import (
     OptimizationResult,
     SweepConfig,
     load_result,
-    optimize_clip,
+    optimize_clip,  # unused here; perfbench/tracing.py traces it under this name
+    optimize_clips,
     run_sweep,
 )
 
@@ -68,8 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--scope", type=_parsed_by(LambdaScope), default=LambdaScope.TOP,
                         help="Top (all RD decisions) or Partition (partitioning only)")
     shared.add_argument("--workers", type=int, default=5,
-                        help="concurrent encoder child processes per sweep; "
-                             "no effect with --synthetic, whose encodes run in-process")
+                        help="concurrent encoder child processes per run, shared by the "
+                             "clips searched at once; no effect with --synthetic, whose "
+                             "encodes run in-process")
     shared.add_argument("--cache-dir", type=Path, default=None,
                         help="persistent RD-point cache and run ledger location")
     shared.add_argument("--encoder-template", default=None,
@@ -167,20 +171,23 @@ def _load_curve(path: Path) -> RDCurve:
 
 
 def _run_per_clip(args, verb: str, run, file_name) -> int:
-    """Write run(clip_id, config, backend)'s document for each clip: to
-    stdout, to the --out file (one clip only), or to --out/file_name(...)."""
+    """Write each clip's document, as run(clip_ids, config, backend) yields
+    them in clip order: to stdout, to the --out file (one clip only), or to
+    --out/file_name(...).  The file name holds the clip id percent-encoded,
+    so an id with "/" or ".." still names a file directly in --out."""
     backend, clip_ids = _make_backend(args)
     config = _sweep_config(args)
     to_file = args.out is not None and bool(args.out.suffix)
     if len(clip_ids) > 1 and to_file:
         raise ManifestError(f"--out must be a directory when {verb} multiple clips")
-    for clip_id in clip_ids:
-        text = json.dumps(run(clip_id, config, backend).to_dict(), indent=2, sort_keys=True) + "\n"
-        if args.out is None or to_file:
-            _write_or_print(text, args.out)
-        else:
-            args.out.mkdir(parents=True, exist_ok=True)
-            (args.out / file_name(clip_id, config)).write_text(text)
+    with closing(run(clip_ids, config, backend)) as documents:
+        for doc in documents:
+            text = json.dumps(doc.to_dict(), indent=2, sort_keys=True) + "\n"
+            if args.out is None or to_file:
+                _write_or_print(text, args.out)
+            else:
+                args.out.mkdir(parents=True, exist_ok=True)
+                (args.out / file_name(quote(doc.clip_id, safe=""), config)).write_text(text)
     return 0
 
 
@@ -188,8 +195,10 @@ def _cmd_sweep(args) -> int:
     return _run_per_clip(
         args,
         "sweeping",
-        lambda clip_id, config, backend: run_sweep(clip_id, args.k, config, backend),
-        lambda clip_id, config: f"{clip_id}_k{args.k:.6f}.json",
+        lambda clip_ids, config, backend: (
+            run_sweep(clip_id, args.k, config, backend) for clip_id in clip_ids
+        ),
+        lambda name, config: f"{name}_k{args.k:.6f}.json",
     )
 
 
@@ -197,8 +206,8 @@ def _cmd_optimize(args) -> int:
     return _run_per_clip(
         args,
         "optimizing",
-        optimize_clip,
-        lambda clip_id, c: f"{clip_id}_{c.codec.value}_{c.scope.value}_{c.group.value}.json",
+        optimize_clips,
+        lambda name, c: f"{name}_{c.codec.value}_{c.scope.value}_{c.group.value}.json",
     )
 
 

@@ -15,9 +15,12 @@ GIL, so a thread pool could not overlap them and would only add hand-off
 cost: they run in ladder order on the calling thread, and the sweep's
 records (hits, fresh points, and the partials of a failed sweep) go to the
 ledger in one write.  A backend whose encodes run in child processes gets
-one pool of config.workers threads per optimize_clip or run_sweep call:
-the sweep's hits go to the ledger in one write, and each fresh point as
-soon as its encode completes, so a killed run loses no finished encode.
+a pool of config.workers threads: one per optimize_clips call, shared by
+the searches of every clip it runs at once, so config.workers caps the
+concurrent encodes of the whole run; otherwise one per optimize_clip or
+run_sweep call.  Such a sweep's hits go to the ledger in one write, and
+each fresh point as soon as its encode completes, so a killed run loses no
+finished encode.
 Every job carries work_dir <cache-dir>/work (None without a cache dir):
 each external encode makes its own temporary directory there (or in the
 system temp dir) and removes it when done; the synthetic backend writes
@@ -44,11 +47,13 @@ import os
 import threading
 import time
 import weakref
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol
+from queue import SimpleQueue
+from typing import Iterable, Iterator, Protocol
 
 from .errors import EncodeFailure, RdtuneError, SweepError
 from .encoder_bridge import EncodeJob
@@ -77,6 +82,7 @@ __all__ = [
     "run_sweep",
     "evaluate_cost",
     "optimize_clip",
+    "optimize_clips",
     "curves_from_ledger",
     "save_result",
     "load_result",
@@ -448,8 +454,21 @@ def _sweep(
         write(records)
     else:
         write(hits)
-        futures = {pool.submit(run_one, job): (qp, job, key) for qp, job, key in pending}
-        for fut in as_completed(futures):
+        # Completions arrive through done callbacks, not as_completed: a
+        # future that shutdown(cancel_futures=True) cancels never reaches
+        # as_completed, but it does run its callbacks.
+        done: SimpleQueue[Future] = SimpleQueue()
+        futures = {}
+        for qp, job, key in pending:
+            try:
+                fut = pool.submit(run_one, job)
+            except RuntimeError as exc:  # the pool is shut down: its run is ending
+                failures.append((qp, exc))
+                continue
+            futures[fut] = (qp, job, key)
+            fut.add_done_callback(done.put)
+        for _ in futures:
+            fut = done.get()
             write(settle(*futures[fut], fut.result))
 
     if failures:
@@ -628,7 +647,13 @@ def load_result(path: Path | str) -> OptimizationResult:
     return OptimizationResult.from_dict(json.loads(Path(path).read_text()))
 
 
-def optimize_clip(clip_id: str, config: SweepConfig, backend: EncoderBackend) -> OptimizationResult:
+def optimize_clip(
+    clip_id: str,
+    config: SweepConfig,
+    backend: EncoderBackend,
+    *,
+    pool: ThreadPoolExecutor | None = None,
+) -> OptimizationResult:
     """Find the scale factor minimizing BD-Rate against the clip's k=1 curve.
 
     Brackets downhill from the seeds k = 0.5 and k = 1 inside the window
@@ -640,16 +665,18 @@ def optimize_clip(clip_id: str, config: SweepConfig, backend: EncoderBackend) ->
     records why the search ended.  A clip no trial improves reports k-hat
     1 and zero for every change.  A failed reference sweep propagates,
     since no result can be reported without the k=1 curve.
-    total_invocations also counts the encodes of a probe that failed.  For
-    a backend over child processes every sweep of the call runs its
-    encodes on one pool of config.workers threads; an in-process backend's
-    run on the calling thread.  The store is that of config.cache_dir, as
-    in run_sweep.
+    total_invocations also counts the encodes of a probe that failed.
+    Every sweep of the call runs its encodes on `pool` when one is given,
+    which optimize_clips shares between the clips it searches at once;
+    otherwise, for a backend over child processes, on one pool of
+    config.workers threads opened for the call, and for an in-process
+    backend on the calling thread.  The store is that of config.cache_dir,
+    as in run_sweep.
     """
     cache = _default_store(config.cache_dir)
     trials: list[TrialRecord] = []
     failed_encodes = 0
-    with _encode_pool(config, backend) as pool:
+    with nullcontext(pool) if pool is not None else _encode_pool(config, backend) as pool:
         reference, _ = _sweep(clip_id, 1.0, config, backend, cache, pool)
 
         def cost(ln_k: float) -> float:
@@ -695,6 +722,58 @@ def optimize_clip(clip_id: str, config: SweepConfig, backend: EncoderBackend) ->
         trials=tuple(trials),
         reference_curve=reference,
     )
+
+
+def optimize_clips(
+    clip_ids: Iterable[str], config: SweepConfig, backend: EncoderBackend
+) -> Iterator[OptimizationResult]:
+    """Yield optimize_clip's result for each clip, in clip_ids order.
+
+    An in-process backend's clips are searched one after another on the
+    calling thread.  For a backend over child processes the call opens one
+    pool of config.workers threads, shared by all its searches, so
+    config.workers caps the concurrent encodes of the whole run; and up to
+    ceil(workers / ladder length) + 1 searches run at once, so that the
+    pool has encodes queued while a search waits on its sweep's last
+    encode or computes between sweeps.  Each search is an optimize_clip
+    call, so a result does not depend on the order in which searches
+    complete.  The one exception: clips with identical content share cache
+    keys, and which of two concurrent searches encodes a point they share,
+    so their invocation counts, can depend on timing.
+
+    The first clip, in clip_ids order, whose search raises ends the call
+    with its error, after the results of the clips before it.  Once any
+    search has raised, no further search starts.  When the call ends this
+    way, or by an interrupt, or because the consumer closes the generator,
+    queued encodes are cancelled, running searches submit no new sweep,
+    and the call waits only for the encodes already running.
+    """
+    if backend.in_process:
+        for clip_id in clip_ids:
+            yield optimize_clip(clip_id, config, backend)
+        return
+    searches = math.ceil(config.workers / len(config.qp_ladder)) + 1
+    clips = iter(clip_ids)
+    started: deque = deque()  # futures of searches not yet yielded, in clip order
+    pool = ThreadPoolExecutor(max_workers=config.workers)
+    runner = ThreadPoolExecutor(max_workers=searches)
+    try:
+        while True:
+            while started and started[0].done():
+                yield started.popleft().result()  # raises the search's error
+            running = [f for f in started if not f.done()]
+            failed = any(f.done() and f.exception() is not None for f in started)
+            clip_id = next(clips, None) if len(running) < searches and not failed else None
+            if clip_id is not None:
+                started.append(runner.submit(optimize_clip, clip_id, config, backend, pool=pool))
+            elif running:
+                wait(running, return_when=FIRST_COMPLETED)
+            else:
+                return
+    finally:
+        pool.shutdown(wait=False, cancel_futures=True)
+        runner.shutdown(cancel_futures=True)
+        pool.shutdown()
 
 
 def curves_from_ledger(records: list[dict]) -> list[RDCurve]:

@@ -3,11 +3,13 @@ import json
 import pytest
 
 from rdtune.cli import cli_dispatch
+from rdtune.encoder_bridge import CommandTemplate, ExternalEncoder, load_manifest
 from rdtune.lambda_model import CodecId, FrameTypeGroup, LambdaScope
 from rdtune.rd_curve import RDCurve, RDPoint
-from rdtune.sweep import load_result
+from rdtune.sweep import SweepConfig, load_result, optimize_clip
 
 import oracles
+from test_encoder_bridge import ENCODER_STUB, METRIC_STUB, PY
 
 
 def write_curve(path, rates_scale=1.0, k=1.0):
@@ -164,6 +166,98 @@ class TestPerClipOutput:
         assert cli_dispatch([*argv, "--synthetic", "default", "--out", str(out)]) == 0
         assert [p.name for p in out.iterdir()] == [name]
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv, suffix",
+        [(["sweep", "--k", "2"], "_k2.000000.json"), (["optimize"], "_AV1_Top_AllFrames.json")],
+        ids=["sweep", "optimize"],
+    )
+    @pytest.mark.parametrize("clip_id, name", [("set1/clipA", "set1%2FclipA"), ("../x", "..%2Fx")])
+    def test_clip_id_is_percent_encoded_in_the_file_name(
+        self, tmp_path, capsys, argv, suffix, clip_id, name
+    ):
+        out = tmp_path / "out"
+        argv = [*argv, "--synthetic", "default", "--clip", clip_id, "--out", str(out)]
+        assert cli_dispatch(argv) == 0
+        assert [p.name for p in out.iterdir()] == [name + suffix]
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert capsys.readouterr().err == ""
+
+
+class TestOptimizeManifest:
+    """`rdtune optimize` over a manifest, with the stub tools of
+    test_encoder_bridge as encoder and metric tool."""
+
+    QPS = (27, 39, 49, 59)
+
+    @pytest.fixture
+    def run(self, tmp_path):
+        enc, met, log = tmp_path / "enc.py", tmp_path / "met.py", tmp_path / "argv.log"
+        enc.write_text(ENCODER_STUB)
+        met.write_text(METRIC_STUB)
+        # -S -I: the stubs need no site packages, and start faster without.
+        templates = [
+            "--encoder-template", f"{PY} -S -I {enc} {{input}} {{output}} {{qp}} {{k}} var {log}",
+            "--metric-template", f"{PY} -S -I {met} {{reference}} {{distorted}} {{report}}",
+        ]
+
+        def run(clips, *argv):
+            """Write a manifest of `clips` (id -> content bytes, or None for
+            a missing file) and run optimize over it; returns the exit
+            status, the manifest path, the encodes logged so far and the
+            template options."""
+            entries = []
+            for clip_id, content in clips.items():
+                path = tmp_path / f"{clip_id}.yuv"
+                if content is not None:
+                    path.write_bytes(content)
+                entries.append({"id": clip_id, "path": str(path), "width": 64, "height": 64,
+                                "frame_count": 25, "frame_rate": 25.0})
+            manifest = tmp_path / "manifest.json"
+            manifest.write_text(json.dumps(entries))
+            status = cli_dispatch([
+                "optimize", "--manifest", str(manifest), *templates, "--workers", "2",
+                "--qps", ",".join(map(str, self.QPS)), *argv,
+            ])
+            encodes = len(log.read_text().splitlines()) if log.exists() else 0
+            return status, manifest, encodes, templates
+
+        return run
+
+    def test_documents_do_not_depend_on_timing(self, run, tmp_path, capsys):
+        clips = {c: bytes([i]) * 512 for i, c in enumerate(("a", "b", "c"))}
+        cache = tmp_path / "cache"
+        status, manifest, cold, templates = run(clips, "--cache-dir", str(cache))
+        assert status == 0
+        printed = capsys.readouterr().out
+
+        # The documents of optimize_clip called clip by clip, cold, then warm.
+        backend = ExternalEncoder(CommandTemplate(templates[1], templates[3]), load_manifest(manifest))
+        config = SweepConfig(codec=CodecId.AV1, qp_ladder=self.QPS, workers=2,
+                             cache_dir=tmp_path / "alone")
+
+        def alone():
+            return [json.dumps(optimize_clip(c, config, backend).to_dict(), indent=2,
+                               sort_keys=True) + "\n" for c in clips]
+
+        assert printed == "".join(alone())
+        warm = alone()
+
+        # A warm re-run encodes nothing and writes the same bytes.
+        out = tmp_path / "out"
+        encodes = cold + backend.invocations
+        status, _, total, _ = run(clips, "--cache-dir", str(cache), "--out", str(out))
+        assert (status, total) == (0, encodes)
+        assert sorted(p.name for p in out.iterdir()) == [f"{c}_AV1_Top_AllFrames.json" for c in clips]
+        assert [(out / f"{c}_AV1_Top_AllFrames.json").read_text() for c in clips] == warm
+
+    def test_clips_before_a_failed_clip_are_written(self, run, tmp_path, capsys):
+        out = tmp_path / "out"
+        status, _, _, _ = run({"slow": b"\x01" * 512, "bad": None}, "--out", str(out))
+        assert status == 1
+        assert [p.name for p in out.iterdir()] == ["slow_AV1_Top_AllFrames.json"]
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: optimize: ")
 
 
 class TestReportCommand:

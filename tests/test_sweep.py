@@ -14,8 +14,8 @@ from dataclasses import replace
 import pytest
 
 from rdtune import sweep
-from rdtune.encoder_bridge import EncodeJob, SyntheticClipModel, SyntheticEncoder
-from rdtune.errors import EncodeFailure, SweepError
+from rdtune.encoder_bridge import EncodeJob, SyntheticClipModel, SyntheticEncoder, synth_encode
+from rdtune.errors import DomainError, EncodeFailure, SweepError
 from rdtune.lambda_model import CodecId, FrameTypeGroup, LambdaScope
 from rdtune.rd_curve import bd_quality, bd_rate, matched_qp_savings, mean_matched_savings, mean_vmaf_delta
 from rdtune.sweep import (
@@ -29,6 +29,7 @@ from rdtune.sweep import (
     evaluate_cost,
     load_result,
     optimize_clip,
+    optimize_clips,
     run_sweep,
     save_result,
 )
@@ -956,6 +957,155 @@ class TestOptimizeClip:
 
 class TestOptimizeClipPooled(PooledDispatch, TestOptimizeClip):
     pass
+
+
+class ClipSet(SyntheticEncoder):
+    """One synthetic model per clip id, each encode sleeping delays[clip]
+    seconds (as a child process would wait), a clip whose model is None
+    failing every encode with DomainError, and a record of every encode:
+    (clip, start, end), the most encodes ever running at once, and whether
+    encodes of two clips ever ran at once."""
+
+    def __init__(self, models, delays):
+        super().__init__(SyntheticClipModel())
+        self.models = models
+        self.delays = delays
+        self.calls = []
+        self.running = []
+        self.most_running = 0
+        self.clips_overlapped = False
+
+    def measure(self, job):
+        with self._count_lock:
+            self.running.append(job.clip_id)
+            self.most_running = max(self.most_running, len(self.running))
+            self.clips_overlapped |= len(set(self.running)) > 1
+        start = time.perf_counter()
+        try:
+            time.sleep(self.delays[job.clip_id])
+            model = self.models[job.clip_id]
+            if model is None:
+                raise DomainError(f"no model for clip {job.clip_id}")
+            return synth_encode(model, job.qp, job.k)
+        finally:
+            with self._count_lock:
+                self.running.remove(job.clip_id)
+                self.calls.append((job.clip_id, start, time.perf_counter()))
+
+
+CLIP_MODELS = {f"clip{i}": SyntheticClipModel(k_star=k) for i, k in enumerate((0.7, 1.6, 3.0, 2.2))}
+
+
+def assert_as_sequential(results, tmp_path):
+    # Each result equals a sequential optimize_clip of its clip on a fresh cache dir.
+    for result in results:
+        clip = result.clip_id
+        config = av1_config(cache_dir=tmp_path / "sequential" / clip)
+        alone = optimize_clip(clip, config, SyntheticEncoder(CLIP_MODELS[clip], clip))
+        assert (result.k_hat, result.bd_rate, result.stop_reason) == (
+            alone.k_hat, alone.bd_rate, alone.stop_reason)
+        assert [(t.k, t.cost, t.encoder_invocations) for t in result.trials] == [
+            (t.k, t.cost, t.encoder_invocations) for t in alone.trials]
+        assert result.total_invocations == alone.total_invocations
+
+
+class TestOptimizeClips:
+    def test_one_pool_caps_encodes_while_clips_overlap(self, tmp_path, opened_pools):
+        backend = pooled(ClipSet(CLIP_MODELS, dict.fromkeys(CLIP_MODELS, 0.02)))
+        config = av1_config(cache_dir=tmp_path / "cache", workers=2)
+        results = list(optimize_clips(list(CLIP_MODELS), config, backend))
+        assert [r.clip_id for r in results] == list(CLIP_MODELS)
+        assert backend.most_running <= 2
+        assert backend.clips_overlapped
+        # One encode pool of config.workers threads, and one for the
+        # ceil(2 / 5) + 1 searches, which submit no encode themselves.
+        assert [p._max_workers for p in opened_pools] == [2, 2]
+        assert opened_pools[0].submitted == len(backend.calls)
+        assert opened_pools[1].submitted == 4
+        assert_as_sequential(results, tmp_path)
+
+    def test_results_follow_clip_order_not_completion(self, tmp_path):
+        # clip0's first encode is held until clip3 has started encoding, so
+        # clip1 and clip2 complete before clip0's reference sweep.
+        class HoldFirst(ClipSet):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.clip3_started = threading.Event()
+                self.held = False
+
+            def measure(self, job):
+                with self._count_lock:
+                    hold = job.clip_id == "clip0" and not self.held
+                    self.held |= hold
+                if job.clip_id == "clip3":
+                    self.clip3_started.set()
+                if hold:
+                    if not self.clip3_started.wait(10.0):
+                        raise DomainError("clip3 never started")
+                    self.released_at = time.perf_counter()
+                return super().measure(job)
+
+        backend = pooled(HoldFirst(CLIP_MODELS, dict.fromkeys(CLIP_MODELS, 0.0)))
+        config = av1_config(cache_dir=tmp_path / "cache", workers=2)
+        results = list(optimize_clips(list(CLIP_MODELS), config, backend))
+        assert [r.clip_id for r in results] == list(CLIP_MODELS)
+        ends = [end for clip, _, end in backend.calls if clip in ("clip1", "clip2")]
+        assert max(ends) < backend.released_at
+        assert_as_sequential(results, tmp_path)
+
+    def test_in_process_backend_runs_on_the_calling_thread(self, tmp_path, opened_pools):
+        threads = set()
+
+        class Recording(SyntheticEncoder):
+            def measure(self, job):
+                threads.add(threading.get_ident())
+                return super().measure(job)
+
+        config = av1_config(cache_dir=tmp_path)
+        results = list(optimize_clips(["a", "b"], config, Recording(SyntheticClipModel())))
+        assert [r.clip_id for r in results] == ["a", "b"]
+        assert opened_pools == []
+        assert threads == {threading.get_ident()}
+
+    def test_failed_search_stops_the_run(self, tmp_path):
+        models = {"bad": None, "slow": SyntheticClipModel(), "slow2": SyntheticClipModel(k_star=3.0)}
+        backend = pooled(ClipSet(models, {"bad": 0.0, "slow": 0.05, "slow2": 0.05}))
+        config = av1_config(cache_dir=tmp_path, workers=2)
+        threads = threading.active_count()
+        with pytest.raises(SweepError) as raised:
+            list(optimize_clips(["bad", "slow", "slow2"], config, backend))
+        assert isinstance(raised.value.__cause__, DomainError)
+        failed_at = max(end for clip, _, end in backend.calls if clip == "bad")
+        clips = [clip for clip, _, _ in backend.calls]
+        assert "slow2" not in clips
+        assert sum(1 for clip, start, _ in backend.calls if clip == "slow" and start > failed_at) <= 2
+        # Every encode and search thread has ended.
+        assert threading.active_count() == threads
+
+    def test_no_search_starts_after_a_later_clip_failed(self, tmp_path):
+        # "bad" fails while "slow" still runs: slow's result comes first,
+        # then bad's error, and "later" never starts.
+        models = {"slow": SyntheticClipModel(), "bad": None, "later": SyntheticClipModel()}
+        backend = pooled(ClipSet(models, {"slow": 0.02, "bad": 0.0, "later": 0.0}))
+        results = optimize_clips(list(models), av1_config(cache_dir=tmp_path, workers=2), backend)
+        assert next(results).clip_id == "slow"
+        with pytest.raises(SweepError):
+            next(results)
+        assert "later" not in {clip for clip, _, _ in backend.calls}
+
+    def test_closing_the_generator_ends_the_run(self, tmp_path):
+        delays = dict.fromkeys(CLIP_MODELS, 0.05)
+        delays["clip0"] = 0.0
+        backend = pooled(ClipSet(CLIP_MODELS, delays))
+        config = av1_config(cache_dir=tmp_path, workers=2)
+        threads = threading.active_count()
+        results = optimize_clips(list(CLIP_MODELS), config, backend)
+        assert next(results).clip_id == "clip0"
+        encodes = len(backend.calls)
+        results.close()
+        assert len(backend.calls) <= encodes + 2
+        assert threading.active_count() == threads
+        assert "clip3" not in {clip for clip, _, _ in backend.calls}
 
 
 class TestBudget:
