@@ -63,8 +63,6 @@ class ClipInfo:
 
     id: str
     path: Path
-    width: int
-    height: int
     frame_count: int
     frame_rate: float
 
@@ -81,8 +79,7 @@ class ClipInfo:
 
 def load_manifest(path: Path | str) -> dict[str, ClipInfo]:
     """Load a clip manifest: a JSON array of
-    {id, path, width, height, frame_count, frame_rate}; other keys are
-    ignored."""
+    {id, path, frame_count, frame_rate}; other keys are ignored."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
@@ -98,8 +95,6 @@ def load_manifest(path: Path | str) -> dict[str, ClipInfo]:
             clip = ClipInfo(
                 id=str(entry["id"]),
                 path=Path(entry["path"]),
-                width=int(entry["width"]),
-                height=int(entry["height"]),
                 frame_count=int(entry["frame_count"]),
                 frame_rate=float(entry["frame_rate"]),
             )

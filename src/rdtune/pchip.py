@@ -21,9 +21,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from numbers import Real
+from typing import Iterable
 
 from .errors import CurveDataError, ExtrapolationError
 
@@ -82,11 +81,10 @@ def _edge_slope(h0: float, h1: float, d0: float, d1: float) -> float:
     return s
 
 
-def pchip_fit(points: Iterable[tuple[float, float]] | Sequence) -> PchipInterpolant:
+def pchip_fit(points: Iterable[tuple[float, float]]) -> PchipInterpolant:
     """Fit the monotone cubic through (x, y) pairs with strictly increasing x."""
-    rows = points.tolist() if isinstance(points, np.ndarray) else points
     try:
-        pairs = [(float(px), float(py)) for px, py in rows]
+        pairs = [(float(px), float(py)) for px, py in points]
     except (TypeError, ValueError):
         raise CurveDataError(f"expected (x, y) number pairs, got {points!r:.80}") from None
     if len(pairs) < 2:
@@ -135,12 +133,11 @@ def _hermite(f: PchipInterpolant, at: list[float], derivative: int) -> list[floa
 def pchip_eval(f: PchipInterpolant, at, derivative: int = 0):
     """Evaluate the interpolant (or its first derivative) strictly in-span.
 
-    Accepts a scalar, returning a float, or an array (any order, any
-    shape), returning an ndarray of its shape.
+    Accepts a number, returning a float, or an iterable of numbers in any
+    order, returning a list.
     """
     if derivative not in (0, 1):
         raise ValueError(f"derivative must be 0 or 1, got {derivative}")
-    if np.isscalar(at):
+    if isinstance(at, Real):
         return _hermite(f, [float(at)], derivative)[0]
-    q = np.atleast_1d(np.asarray(at, dtype=float))
-    return np.array(_hermite(f, q.ravel().tolist(), derivative), dtype=float).reshape(q.shape)
+    return _hermite(f, [float(q) for q in at], derivative)

@@ -10,10 +10,8 @@ lies inside the curve's own quality span.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from html import escape
 from pathlib import Path
-from xml.sax.saxutils import escape
-
-import numpy as np
 
 from .rd_curve import RDCurve
 
@@ -51,23 +49,27 @@ def compute_layout(curves: list[RDCurve]) -> PlotLayout:
     """Layout spanning all curves with a 4% pad on each axis."""
     if not curves:
         raise ValueError("need at least one curve to plot")
-    xs = np.concatenate([c.log10_rates for c in curves])
-    ys = np.concatenate([c.qualities_db for c in curves])
-    x_pad = 0.04 * (xs.max() - xs.min()) or 0.1
-    y_pad = 0.04 * (ys.max() - ys.min()) or 0.1
-    return PlotLayout(
-        x_min=float(xs.min() - x_pad),
-        x_max=float(xs.max() + x_pad),
-        y_min=float(ys.min() - y_pad),
-        y_max=float(ys.max() + y_pad),
-    )
+    xs = [x for c in curves for x in c.log10_rates]
+    ys = [y for c in curves for y in c.qualities_db]
+    x_pad = 0.04 * (max(xs) - min(xs)) or 0.1
+    y_pad = 0.04 * (max(ys) - min(ys)) or 0.1
+    return PlotLayout(min(xs) - x_pad, max(xs) + x_pad, min(ys) - y_pad, max(ys) + y_pad)
 
 
-def _sample_grid(curve: RDCurve) -> np.ndarray:
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """np.linspace(lo, hi, n) for n >= 2, bit for bit: lo + i*step, the last
+    value hi, and lo + i/(n-1)*(hi-lo) when the step underflows to 0."""
+    step = (hi - lo) / (n - 1)
+    if step == 0:
+        return [lo + i / (n - 1) * (hi - lo) for i in range(n - 1)] + [hi]
+    return [lo + i * step for i in range(n - 1)] + [hi]
+
+
+def _sample_grid(curve: RDCurve) -> list[float]:
     """Exactly _SAMPLES_PER_CURVE quality positions, knots included."""
     knots = curve.qualities_db
-    fill = np.linspace(knots[0], knots[-1], _SAMPLES_PER_CURVE - len(knots) + 2)[1:-1]
-    return np.sort(np.concatenate([knots, fill]))
+    fill = _linspace(knots[0], knots[-1], _SAMPLES_PER_CURVE - len(knots) + 2)[1:-1]
+    return sorted(knots + tuple(fill))
 
 
 def _fmt(v: float) -> str:
@@ -87,7 +89,7 @@ def render_svg(curves: list[RDCurve], layout: PlotLayout | None = None, title: s
     y0, y1 = _MARGIN_TOP, _MARGIN_TOP + _PLOT_HEIGHT
 
     # Axes, ticks, grid.
-    for t in np.linspace(layout.x_min, layout.x_max, 5):
+    for t in _linspace(layout.x_min, layout.x_max, 5):
         px = layout.x_px(t)
         parts.append(
             f'<line x1="{_fmt(px)}" y1="{_fmt(y0)}" x2="{_fmt(px)}" y2="{_fmt(y1)}" '
@@ -97,7 +99,7 @@ def render_svg(curves: list[RDCurve], layout: PlotLayout | None = None, title: s
             f'<text x="{_fmt(px)}" y="{_fmt(y1 + 18)}" font-size="11" '
             f'text-anchor="middle" font-family="sans-serif">{10 ** t:,.0f}</text>'
         )
-    for t in np.linspace(layout.y_min, layout.y_max, 6):
+    for t in _linspace(layout.y_min, layout.y_max, 6):
         py = layout.y_px(t)
         parts.append(
             f'<line x1="{_fmt(x0)}" y1="{_fmt(py)}" x2="{_fmt(x1)}" y2="{_fmt(py)}" '
@@ -123,7 +125,7 @@ def render_svg(curves: list[RDCurve], layout: PlotLayout | None = None, title: s
     if title:
         parts.append(
             f'<text x="{_fmt((x0 + x1) / 2)}" y="18" font-size="13" text-anchor="middle" '
-            f'font-family="sans-serif">{escape(title)}</text>'
+            f'font-family="sans-serif">{escape(title, quote=False)}</text>'
         )
 
     # Curves: smoothed path + knot markers.
@@ -139,9 +141,9 @@ def render_svg(curves: list[RDCurve], layout: PlotLayout | None = None, title: s
             f'<path class="curve curve-{i}" d="M {" L ".join(coords)}" fill="none" '
             f'stroke="{color}" stroke-width="1.8"/>'
         )
-        for p in curve.points:
+        for p, log_rate in zip(curve.points, curve.log10_rates):
             parts.append(
-                f'<circle class="marker marker-{i}" cx="{_fmt(layout.x_px(np.log10(p.bitrate_kbps)))}" '
+                f'<circle class="marker marker-{i}" cx="{_fmt(layout.x_px(log_rate))}" '
                 f'cy="{_fmt(layout.y_px(p.msssim_db))}" r="3.2" fill="{color}"/>'
             )
 
@@ -157,7 +159,7 @@ def render_svg(curves: list[RDCurve], layout: PlotLayout | None = None, title: s
         )
         parts.append(
             f'<text class="legend-entry" x="{_fmt(lx + 26)}" y="{_fmt(ly + 4)}" '
-            f'font-size="11" font-family="sans-serif">{escape(label)}</text>'
+            f'font-size="11" font-family="sans-serif">{escape(label, quote=False)}</text>'
         )
 
     parts.append("</svg>")

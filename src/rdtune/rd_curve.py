@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-
 from .errors import (
     CurveDataError,
     DomainError,
@@ -160,23 +158,17 @@ class RDCurve:
                     f"{a.bitrate_kbps} then {b.bitrate_kbps} (qp {a.qp} -> {b.qp})"
                 )
 
-    # The BD math works on these float lists; the log rates come from one
-    # np.log10 call, because math.log10 does not always round the same way.
+    # Read by the BD math and the plot.  math.log10, not np.log10: numpy picks
+    # its log10 kernel by CPU feature, and its AVX-512 kernel differs from
+    # math.log10 in the last bit for 3.7% of bitrates, so results would vary
+    # by host (inferred on one AVX-512 host, not run on a second one).
     @cached_property
-    def _db(self) -> list[float]:
-        return [p.msssim_db for p in self.points]
+    def qualities_db(self) -> tuple[float, ...]:
+        return tuple(p.msssim_db for p in self.points)
 
     @cached_property
-    def _log_rates(self) -> list[float]:
-        return np.log10([p.bitrate_kbps for p in self.points]).tolist()
-
-    @property
-    def qualities_db(self) -> np.ndarray:
-        return np.array(self._db)
-
-    @property
-    def log10_rates(self) -> np.ndarray:
-        return np.array(self._log_rates)
+    def log10_rates(self) -> tuple[float, ...]:
+        return tuple(math.log10(p.bitrate_kbps) for p in self.points)
 
     @property
     def qps(self) -> tuple[int, ...]:
@@ -193,11 +185,11 @@ class RDCurve:
     # tuples, so no user can change it.
     @cached_property
     def _rate_fit(self) -> PchipInterpolant:
-        return pchip_fit(zip(self._db, self._log_rates))
+        return pchip_fit(zip(self.qualities_db, self.log10_rates))
 
     @cached_property
     def _quality_fit(self) -> PchipInterpolant:
-        return pchip_fit(zip(self._log_rates, self._db))
+        return pchip_fit(zip(self.log10_rates, self.qualities_db))
 
     def rate_fit(self) -> PchipInterpolant:
         """Monotone fit of quality (dB) -> log10 bitrate."""
@@ -270,7 +262,7 @@ def _integrate_difference(
     cuts = sorted({lo, hi, *(c for c in f_test.x + f_ref.x if lo < c < hi)})
     pieces = list(zip(cuts, cuts[1:]))
     at = cuts + [0.5 * (a + b) for a, b in pieces]
-    diff = [t - r for t, r in zip(f_test(at).tolist(), f_ref(at).tolist())]
+    diff = [t - r for t, r in zip(f_test(at), f_ref(at))]
     fm = diff[len(cuts):]
     terms = [
         (b - a) * (diff[i] + 4.0 * fm[i] + diff[i + 1]) for i, (a, b) in enumerate(pieces)
@@ -333,7 +325,8 @@ def mean_matched_savings(reference: RDCurve, test: RDCurve) -> float:
     Both curves must cover exactly the same QPs.
     """
     qps = _shared_ladder(reference, test)
-    return float(np.mean([matched_qp_savings(reference, test, qp) for qp in qps]))
+    savings = [matched_qp_savings(reference, test, qp) for qp in qps]
+    return _float64_sum(savings) / len(savings)
 
 
 def mean_vmaf_delta(reference: RDCurve, test: RDCurve) -> float | None:
@@ -344,4 +337,4 @@ def mean_vmaf_delta(reference: RDCurve, test: RDCurve) -> float | None:
         if rv is None or tv is None:
             return None
         deltas.append(tv - rv)
-    return float(np.mean(deltas))
+    return _float64_sum(deltas) / len(deltas)

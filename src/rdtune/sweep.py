@@ -59,6 +59,7 @@ from .errors import EncodeFailure, RdtuneError, SweepError
 from .encoder_bridge import EncodeJob
 from .lambda_model import CodecId, FrameTypeGroup, LambdaScope, validate_qp
 from .rd_curve import (
+    _MIN_POINTS,
     RDCurve,
     RDPoint,
     bd_rate,
@@ -647,6 +648,12 @@ def load_result(path: Path | str) -> OptimizationResult:
     return OptimizationResult.from_dict(json.loads(Path(path).read_text()))
 
 
+def _require_bd_ladder(config: SweepConfig) -> None:
+    if len(config.qp_ladder) < _MIN_POINTS:
+        raise ValueError(
+            f"BD-Rate needs a qp_ladder of at least {_MIN_POINTS} points, got {config.qp_ladder}")
+
+
 def optimize_clip(
     clip_id: str,
     config: SweepConfig,
@@ -664,7 +671,8 @@ def optimize_clip(
     the best trial evaluated, including the k=1 baseline, and stop_reason
     records why the search ended.  A clip no trial improves reports k-hat
     1 and zero for every change.  A failed reference sweep propagates,
-    since no result can be reported without the k=1 curve.
+    since no result can be reported without the k=1 curve, and a ladder too
+    short for BD-Rate raises ValueError before any encode.
     total_invocations also counts the encodes of a probe that failed.
     Every sweep of the call runs its encodes on `pool` when one is given,
     which optimize_clips shares between the clips it searches at once;
@@ -673,6 +681,7 @@ def optimize_clip(
     backend on the calling thread.  The store is that of config.cache_dir,
     as in run_sweep.
     """
+    _require_bd_ladder(config)
     cache = _default_store(config.cache_dir)
     trials: list[TrialRecord] = []
     failed_encodes = 0
@@ -746,8 +755,10 @@ def optimize_clips(
     search has raised, no further search starts.  When the call ends this
     way, or by an interrupt, or because the consumer closes the generator,
     queued encodes are cancelled, running searches submit no new sweep,
-    and the call waits only for the encodes already running.
+    and the call waits only for the encodes already running.  A ladder too
+    short for BD-Rate raises ValueError before any encode.
     """
+    _require_bd_ladder(config)
     if backend.in_process:
         for clip_id in clip_ids:
             yield optimize_clip(clip_id, config, backend)

@@ -265,7 +265,7 @@ def test_criterion_7_integration_path_documented(tmp_path):
                              f"{{frame_group}} {{scope}}",
             metric_template=f"{sys.executable} {met} {{reference}} {{distorted}} {{report}}",
         )
-        clip = rt.ClipInfo(id="c", path=clip_file, width=64, height=64,
+        clip = rt.ClipInfo(id="c", path=clip_file,
                            frame_count=130, frame_rate=25.0)
         job = rt.EncodeJob(
             clip_id="c", codec=rt.CodecId.AV1, qp=39, k=2.494,

@@ -251,6 +251,15 @@ class TestOptimizeManifest:
         assert sorted(p.name for p in out.iterdir()) == [f"{c}_AV1_Top_AllFrames.json" for c in clips]
         assert [(out / f"{c}_AV1_Top_AllFrames.json").read_text() for c in clips] == warm
 
+    def test_short_ladder_is_one_error_line_and_no_encode(self, run, tmp_path, capsys):
+        out = tmp_path / "out"
+        status, _, encodes, _ = run({"a": b"\x01" * 512}, "--qps", "27,39,49", "--out", str(out))
+        assert (status, encodes) == (1, 0)
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: optimize: ")
+        assert "at least 4" in err
+
     def test_clips_before_a_failed_clip_are_written(self, run, tmp_path, capsys):
         out = tmp_path / "out"
         status, _, _, _ = run({"slow": b"\x01" * 512, "bad": None}, "--out", str(out))

@@ -84,7 +84,7 @@ def stub_tools(tmp_path):
     clip_file = tmp_path / "clip.yuv"
     clip_file.write_bytes(b"\x10" * 4096)
     clip = ClipInfo(
-        id="clipA", path=clip_file, width=64, height=64,
+        id="clipA", path=clip_file,
         frame_count=130, frame_rate=25.0,
     )
     log = tmp_path / "argv.log"
@@ -117,6 +117,13 @@ class TestClipManifest:
         clips = load_manifest(manifest)
         assert clips["a"].duration_seconds == pytest.approx(130 * 1001 / 30000)
 
+    def test_entry_without_width_and_height_loads(self, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([
+            {"id": "a", "path": "a.yuv", "frame_count": 50, "frame_rate": 25.0},
+        ]))
+        assert load_manifest(manifest)["a"].duration_seconds == 2.0
+
     def test_missing_file_names_path(self, tmp_path):
         missing = tmp_path / "nope.json"
         with pytest.raises(ManifestError, match="nope.json"):
@@ -144,7 +151,7 @@ class TestClipManifest:
 
     def test_bad_frame_count(self):
         with pytest.raises(ManifestError):
-            ClipInfo(id="a", path=Path("x"), width=1, height=1, frame_count=0, frame_rate=25.0)
+            ClipInfo(id="a", path=Path("x"), frame_count=0, frame_rate=25.0)
 
 
 class TestCommandTemplate:
@@ -367,7 +374,7 @@ class TestEncodeMeasure:
     def test_missing_input_clip(self, stub_tools, tmp_path):
         enc, met, clip, log = stub_tools
         templates = stub_templates(enc, met, log)
-        ghost = ClipInfo(id="ghost", path=tmp_path / "ghost.yuv", width=64, height=64,
+        ghost = ClipInfo(id="ghost", path=tmp_path / "ghost.yuv",
                          frame_count=130, frame_rate=25.0)
         with pytest.raises(EncodeFailure, match="ghost.yuv"):
             encode_measure(make_job(work_dir=tmp_path / "w"), templates, ghost)

@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,3 +21,17 @@ def test_exported_names_resolve(module):
     names = getattr(module, "__all__", [n for n in vars(module) if not n.startswith("_")])
     assert [n for n in names if not hasattr(module, n)] == []
     exec(f"from {module.__name__} import *", {})
+
+
+def test_import_loads_no_numpy_or_network_stack():
+    # The package has no runtime dependencies; xml.sax.saxutils would pull
+    # in urllib.request and with it http, ssl and email.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, rdtune; print(' '.join(sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    banned = {"numpy", "xml", "http", "ssl", "email"}
+    assert [m for m in proc.stdout.split() if m.split(".")[0] in banned] == []

@@ -2,12 +2,16 @@ import csv
 import io
 import math
 import re
+import struct
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rdtune.encoder_bridge import SyntheticClipModel, SyntheticEncoder
 from rdtune.lambda_model import CodecId, FrameTypeGroup, LambdaScope
-from rdtune.plot import compute_layout, emit_plot, render_svg
+from rdtune.plot import _linspace, compute_layout, emit_plot, render_svg
 from rdtune.rd_curve import RDCurve, RDPoint
 from rdtune.report import render_csv, render_text, summarize
 from rdtune.sweep import OptimizationResult, SweepConfig
@@ -190,6 +194,17 @@ class TestPlot:
     def test_empty_curve_list(self):
         with pytest.raises(ValueError):
             compute_layout([])
+
+    # Finite spans of the plot's magnitudes (dB and log10 kbps); the example
+    # is a subnormal span whose step underflows to 0.
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.integers(2, 300))
+    @example(0.0, 2e-323, 11)
+    def test_linspace_matches_numpy_bit_for_bit(self, lo, hi, n):
+        def bits(values):
+            return [struct.pack("<d", v) for v in values]
+
+        assert bits(_linspace(lo, hi, n)) == bits(np.linspace(lo, hi, n).tolist())
 
     def test_deterministic_output(self):
         curves = synthetic_curves(ks=(1.0, 2.5))

@@ -1067,6 +1067,18 @@ class TestOptimizeClips:
         assert opened_pools == []
         assert threads == {threading.get_ident()}
 
+    @pytest.mark.parametrize("in_process", [True, False], ids=["in_process", "pooled"])
+    def test_short_ladder_is_rejected_before_any_encode(self, tmp_path, opened_pools, in_process):
+        backend = synthetic_backend()
+        backend.in_process = in_process
+        config = av1_config(cache_dir=tmp_path, qp_ladder=(27, 39, 49))
+        with pytest.raises(ValueError, match="at least 4"):
+            optimize_clip("clip", config, backend)
+        with pytest.raises(ValueError, match="at least 4"):
+            next(optimize_clips(["clip"], config, backend))
+        assert backend.invocations == 0
+        assert opened_pools == []
+
     def test_failed_search_stops_the_run(self, tmp_path):
         models = {"bad": None, "slow": SyntheticClipModel(), "slow2": SyntheticClipModel(k_star=3.0)}
         backend = pooled(ClipSet(models, {"bad": 0.0, "slow": 0.05, "slow2": 0.05}))
