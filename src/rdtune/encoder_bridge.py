@@ -69,8 +69,8 @@ class ClipInfo:
     def __post_init__(self) -> None:
         if self.frame_count <= 0:
             raise ManifestError(f"clip {self.id!r}: frame_count must be positive")
-        if self.frame_rate <= 0.0:
-            raise ManifestError(f"clip {self.id!r}: frame_rate must be positive")
+        if not 0.0 < self.frame_rate < math.inf:
+            raise ManifestError(f"clip {self.id!r}: frame_rate must be positive and finite")
 
     @property
     def duration_seconds(self) -> float:
@@ -353,10 +353,14 @@ class SyntheticClipModel:
             raise ManifestError(f"cannot read model file {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ManifestError(f"model file {path} is not valid JSON: {exc}") from exc
-        known = set(cls.__dataclass_fields__)
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ManifestError(f"model file {path} must hold a JSON object of numbers")
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ManifestError(f"model file {path}: unknown fields {sorted(unknown)}")
+        for name, value in raw.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ManifestError(f"model file {path}: field {name} must be a number, got {value!r}")
         return cls(**raw)
 
 

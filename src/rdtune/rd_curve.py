@@ -13,7 +13,9 @@ bd_quality is the same construction with the axes swapped.  The integral
 is exact: both fits are cubic between the union of their knots, so one
 Simpson pass over those pieces integrates the difference with no
 truncation error.  There is no extrapolation beyond the overlap interval,
-ever.
+ever.  Every sum here (the Simpson terms and the ladder means) is
+math.fsum, which is correctly rounded, so results do not depend on term
+order, CPU or Python version.
 """
 
 from __future__ import annotations
@@ -85,6 +87,8 @@ class RDPoint:
             raise CurveDataError(f"msssim must lie in (0, 1], got {self.msssim}")
         if not math.isfinite(self.msssim_db):
             raise CurveDataError(f"msssim_db must be finite, got {self.msssim_db}")
+        if self.vmaf is not None and not math.isfinite(self.vmaf):
+            raise CurveDataError(f"vmaf must be finite, got {self.vmaf}")
         if self.msssim < _SCORE_CHECK_LIMIT:
             expected = msssim_to_db(self.msssim)
             if abs(self.msssim_db - expected) > 1e-6 * max(1.0, abs(expected)):
@@ -221,35 +225,6 @@ class RDCurve:
         )
 
 
-def _float64_sum(v: list[float]) -> float:
-    """Sum in numpy's order for a contiguous float64 array (np.sum), so the
-    result is bit-identical to it: sequential below 8 terms, 8 interleaved
-    accumulators up to 128, and above that the two halves (the first cut
-    to a multiple of 8) summed the same way, all added to the identity 0.0."""
-
-    def pairwise(v: list[float]) -> float:
-        n = len(v)
-        if n < 8:
-            total = 0.0
-            for term in v:
-                total += term
-            return total
-        if n > 128:
-            half = n // 2 - (n // 2) % 8
-            return pairwise(v[:half]) + pairwise(v[half:])
-        r = v[:8]
-        tail = n - n % 8
-        for i in range(8, tail, 8):
-            for j in range(8):
-                r[j] += v[i + j]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for term in v[tail:]:
-            total += term
-        return total
-
-    return 0.0 + pairwise(v)
-
-
 def _integrate_difference(
     f_test: PchipInterpolant, f_ref: PchipInterpolant, lo: float, hi: float
 ) -> float:
@@ -257,7 +232,8 @@ def _integrate_difference(
 
     Both fits are cubic between consecutive points of the union of their
     knots, so one Simpson pass over those pieces is exact.  Each fit is
-    evaluated once, in one call, at the cut points and the midpoints.
+    evaluated once, in one call, at the cut points and the midpoints, and
+    the piece terms are summed by math.fsum, correctly rounded.
     """
     cuts = sorted({lo, hi, *(c for c in f_test.x + f_ref.x if lo < c < hi)})
     pieces = list(zip(cuts, cuts[1:]))
@@ -267,7 +243,7 @@ def _integrate_difference(
     terms = [
         (b - a) * (diff[i] + 4.0 * fm[i] + diff[i + 1]) for i, (a, b) in enumerate(pieces)
     ]
-    return _float64_sum(terms) / 6.0
+    return math.fsum(terms) / 6.0
 
 
 def _bd_mean(reference: RDCurve, test: RDCurve, fit, metric: str, axis: str) -> float:
@@ -326,7 +302,7 @@ def mean_matched_savings(reference: RDCurve, test: RDCurve) -> float:
     """
     qps = _shared_ladder(reference, test)
     savings = [matched_qp_savings(reference, test, qp) for qp in qps]
-    return _float64_sum(savings) / len(savings)
+    return math.fsum(savings) / len(savings)
 
 
 def mean_vmaf_delta(reference: RDCurve, test: RDCurve) -> float | None:
@@ -337,4 +313,4 @@ def mean_vmaf_delta(reference: RDCurve, test: RDCurve) -> float | None:
         if rv is None or tv is None:
             return None
         deltas.append(tv - rv)
-    return _float64_sum(deltas) / len(deltas)
+    return math.fsum(deltas) / len(deltas)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 from .sweep import OptimizationResult
@@ -53,7 +54,7 @@ class SummaryRow:
 
 
 def _mean(values: list[float]) -> float:
-    return sum(values) / len(values)
+    return math.fsum(values) / len(values)
 
 
 def summarize(results: list[OptimizationResult]) -> list[SummaryRow]:

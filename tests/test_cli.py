@@ -77,6 +77,16 @@ class TestOptimizeCommand:
         assert cli_dispatch(["optimize", "--synthetic", str(model), "--out", str(out)]) == 0
         assert load_result(out).clip_id == "clipmodel"
 
+    @pytest.mark.parametrize("doc", ["5", '{"r0": "abc"}', '{"k_star": null}'])
+    def test_model_file_not_an_object_of_numbers_is_one_error_line(self, tmp_path, capsys, doc):
+        model = tmp_path / "m.json"
+        model.write_text(doc)
+        out = tmp_path / "result.json"
+        assert cli_dispatch(["optimize", "--synthetic", str(model), "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: optimize: model file ")
+
     def test_stdout_output(self, tmp_path, capsys):
         assert cli_dispatch([
             "optimize", "--synthetic", "default", "--cache-dir", str(tmp_path / "c"),

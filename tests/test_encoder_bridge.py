@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from rdtune.errors import (
+    CurveDataError,
     DomainError,
     EncodeFailure,
     ManifestError,
@@ -27,7 +28,7 @@ from rdtune.encoder_bridge import (
     synth_encode,
 )
 from rdtune.lambda_model import CodecId, FrameTypeGroup, LambdaScope
-from rdtune.sweep import SweepConfig, run_sweep
+from rdtune.sweep import SweepConfig, SweepError, run_sweep
 
 import oracles
 
@@ -54,6 +55,9 @@ doc = {"pooled_metrics": {"float_ms_ssim": {"mean": 0.999 - 0.003 * qp},
                           "vmaf": {"mean": 50.0 + (63 - qp) * 0.5}}}
 json.dump(doc, open(rep, "w"))
 """
+
+# METRIC_STUB with a pooled VMAF mean of NaN, as json.dump writes it.
+NAN_VMAF_METRIC_STUB = METRIC_STUB.replace("50.0 + (63 - qp) * 0.5", 'float("nan")')
 
 FAILING_ENCODER_STUB = """\
 import sys
@@ -152,6 +156,15 @@ class TestClipManifest:
     def test_bad_frame_count(self):
         with pytest.raises(ManifestError):
             ClipInfo(id="a", path=Path("x"), frame_count=0, frame_rate=25.0)
+
+    @pytest.mark.parametrize("frame_rate", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_frame_rate(self, tmp_path, frame_rate):
+        # json.loads takes these tokens; an encode of such a clip would run
+        # both tools and then fail on its bitrate.
+        p = tmp_path / "m.json"
+        p.write_text(f'[{{"id": "a", "path": "x", "frame_count": 1, "frame_rate": {frame_rate}}}]')
+        with pytest.raises(ManifestError, match="frame_rate must be positive and finite"):
+            load_manifest(p)
 
 
 class TestCommandTemplate:
@@ -282,6 +295,23 @@ class TestSyntheticModel:
         with pytest.raises(ManifestError, match="unknown fields"):
             SyntheticClipModel.from_file(path)
 
+    @pytest.mark.parametrize(
+        "doc",
+        ["5", "[1.0]", "null", '{"r0": "abc"}', '{"k_star": null}', '{"c": true}', '{"noise_seed": [1]}'],
+    )
+    def test_from_file_not_an_object_of_numbers(self, tmp_path, doc):
+        path = tmp_path / "model.json"
+        path.write_text(doc)
+        with pytest.raises(ManifestError, match="model file"):
+            SyntheticClipModel.from_file(path)
+
+    @pytest.mark.parametrize("doc", ['{"r0": -1}', '{"k_star": NaN}', '{"beta": 1.5}'])
+    def test_from_file_out_of_range_number(self, tmp_path, doc):
+        path = tmp_path / "model.json"
+        path.write_text(doc)
+        with pytest.raises(DomainError):
+            SyntheticClipModel.from_file(path)
+
     def test_digest_distinguishes_models(self):
         assert SyntheticClipModel().digest() != SyntheticClipModel(k_star=2.51).digest()
 
@@ -370,6 +400,20 @@ class TestEncodeMeasure:
             encode_measure(make_job(work_dir=tmp_path / "w"), templates, clip)
         assert "status 3" in str(info.value)
         assert "simulated encoder crash" in info.value.captured_output
+
+    def test_nan_vmaf_fails_the_encode_without_a_retry(self, stub_tools, tmp_path):
+        enc, _, clip, log = stub_tools
+        met = tmp_path / "nan_metric.py"
+        met.write_text(NAN_VMAF_METRIC_STUB)
+        templates = stub_templates(enc, met, log)
+        with pytest.raises(CurveDataError, match="vmaf must be finite"):
+            encode_measure(make_job(work_dir=tmp_path / "w"), templates, clip)
+        config = SweepConfig(codec=CodecId.AV1, qp_ladder=(39,), cache_dir=tmp_path / "cache")
+        log.write_text("")
+        with pytest.raises(SweepError, match="vmaf must be finite"):
+            run_sweep(clip.id, 1.0, config, ExternalEncoder(templates, {clip.id: clip}))
+        assert len(log.read_text().splitlines()) == 1
+        assert (tmp_path / "cache" / "ledger.jsonl").read_bytes() == b""
 
     def test_missing_input_clip(self, stub_tools, tmp_path):
         enc, met, clip, log = stub_tools

@@ -25,7 +25,8 @@ def test_exported_names_resolve(module):
 
 def test_import_loads_no_numpy_or_network_stack():
     # The package has no runtime dependencies; xml.sax.saxutils would pull
-    # in urllib.request and with it http, ssl and email.
+    # in urllib.request and with it http, ssl and email, and statistics
+    # would pull in fractions and decimal.
     src = Path(__file__).resolve().parent.parent / "src"
     code = "import sys, rdtune; print(' '.join(sys.modules))"
     proc = subprocess.run(
@@ -33,5 +34,5 @@ def test_import_loads_no_numpy_or_network_stack():
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    banned = {"numpy", "xml", "http", "ssl", "email"}
+    banned = {"numpy", "xml", "http", "ssl", "email", "fractions", "decimal", "statistics"}
     assert [m for m in proc.stdout.split() if m.split(".")[0] in banned] == []

@@ -3,6 +3,7 @@ import io
 import math
 import re
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from rdtune.encoder_bridge import SyntheticClipModel, SyntheticEncoder
 from rdtune.lambda_model import CodecId, FrameTypeGroup, LambdaScope
 from rdtune.plot import _linspace, compute_layout, emit_plot, render_svg
 from rdtune.rd_curve import RDCurve, RDPoint
-from rdtune.report import render_csv, render_text, summarize
+from rdtune.report import _mean, render_csv, render_text, summarize
 from rdtune.sweep import OptimizationResult, SweepConfig
 
 
@@ -83,6 +84,11 @@ class TestSummarize:
         assert row.avg_rd2_savings == pytest.approx(sum(r.rd2_savings for r in results) / 10)
         assert row.max_bdr == min(r.bd_rate for r in results)
         assert row.min_bdr == max(r.bd_rate for r in results)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40))
+    def test_mean_is_correctly_rounded(self, values):
+        assert _mean(values) == float(sum(map(Fraction, values))) / len(values)
 
 
 class TestRendering:

@@ -225,6 +225,10 @@ class TestPointCache:
             b"[]",
             b"{}",
             b'{"rdpoint": {"qp": 27, "bitrate_kbps": -1.0, "msssim": 0.9, "msssim_db": 10.0}}',
+            # The damaged line's own record, with a VMAF of NaN.
+            b'{"cache_key": "6ae7489995185569aa0faa64ce619cedc558ad1ba9646cf478a72b4825cf96f0", '
+            b'"qp": 49, "bitrate_kbps": 364.65534989744805, "msssim": 0.9408438365824526, '
+            b'"msssim_db": 12.28, "vmaf": NaN}',
         ],
     )
     def test_corrupt_entry_is_a_miss_and_overwritten(self, tmp_path, content):
