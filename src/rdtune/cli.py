@@ -8,7 +8,6 @@ stage on stderr), 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from contextlib import closing
 from pathlib import Path
@@ -19,6 +18,7 @@ from .encoder_bridge import (
     ExternalEncoder,
     SyntheticClipModel,
     SyntheticEncoder,
+    _read_json,
     load_manifest,
 )
 from .errors import ManifestError, RdtuneError
@@ -27,8 +27,8 @@ from .plot import emit_plot
 from .rd_curve import RDCurve, bd_rate
 from .report import render_csv, render_text, summarize
 from .sweep import (
-    OptimizationResult,
     SweepConfig,
+    _document_text,
     load_result,
     optimize_clip,  # unused here; perfbench/tracing.py traces it under this name
     optimize_clips,
@@ -161,15 +161,6 @@ def _write_or_print(text: str, out: Path | None) -> None:
         out.write_text(text)
 
 
-def _load_curve(path: Path) -> RDCurve:
-    try:
-        return RDCurve.from_dict(json.loads(path.read_text()))
-    except OSError as exc:
-        raise ManifestError(f"cannot read curve file {path}: {exc}") from exc
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise ManifestError(f"curve file {path} is malformed: {exc}") from exc
-
-
 def _run_per_clip(args, verb: str, run, file_name) -> int:
     """Write each clip's document, as run(clip_ids, config, backend) yields
     them in clip order: to stdout, to the --out file (one clip only), or to
@@ -182,7 +173,7 @@ def _run_per_clip(args, verb: str, run, file_name) -> int:
         raise ManifestError(f"--out must be a directory when {verb} multiple clips")
     with closing(run(clip_ids, config, backend)) as documents:
         for doc in documents:
-            text = json.dumps(doc.to_dict(), indent=2, sort_keys=True) + "\n"
+            text = _document_text(doc)
             if args.out is None or to_file:
                 _write_or_print(text, args.out)
             else:
@@ -212,23 +203,14 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_bdrate(args) -> int:
-    reference = _load_curve(args.reference)
-    test = _load_curve(args.test)
-    value = bd_rate(reference, test)
-    print(f"{value:.2f}%")
+    reference, test = (_read_json(p, "curve file", RDCurve.from_dict)
+                       for p in (args.reference, args.test))
+    print(f"{bd_rate(reference, test):.2f}%")
     return 0
 
 
 def _cmd_report(args) -> int:
-    results: list[OptimizationResult] = []
-    for path in args.results:
-        try:
-            results.append(load_result(path))
-        except OSError as exc:
-            raise ManifestError(f"cannot read result file {path}: {exc}") from exc
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
-            raise ManifestError(f"result file {path} is malformed: {exc}") from exc
-    rows = summarize(results)
+    rows = summarize([load_result(p) for p in args.results])
     text = render_csv(rows) if args.format == "csv" else render_text(rows)
     _write_or_print(text, args.out)
     return 0
@@ -237,7 +219,7 @@ def _cmd_report(args) -> int:
 def _cmd_plot(args) -> int:
     if args.out is None:
         raise ManifestError("plot requires --out for the SVG path")
-    curves = [_load_curve(p) for p in args.curves]
+    curves = [_read_json(p, "curve file", RDCurve.from_dict) for p in args.curves]
     emit_plot(curves, args.out, title=args.title)
     return 0
 

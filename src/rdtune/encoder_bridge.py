@@ -36,7 +36,7 @@ from .errors import (
     TemplateError,
 )
 from .lambda_model import CodecId, FrameTypeGroup, LambdaScope, validate_qp
-from .rd_curve import RDPoint, db_to_msssim, msssim_to_db
+from .rd_curve import RDPoint, _is_json_number, db_to_msssim, msssim_to_db
 
 __all__ = [
     "ClipInfo",
@@ -77,27 +77,43 @@ class ClipInfo:
         return self.frame_count / self.frame_rate
 
 
-def load_manifest(path: Path | str) -> dict[str, ClipInfo]:
-    """Load a clip manifest: a JSON array of
-    {id, path, frame_count, frame_rate}; other keys are ignored."""
-    path = Path(path)
+def _read_json(path: Path | str, what: str, from_dict=None):
+    """The JSON document in the file at path, passed through from_dict when
+    one is given.  Every failure is one ManifestError that names the file
+    as `what`: it cannot be read, it is not valid JSON, or from_dict finds
+    it malformed (KeyError, TypeError or ValueError, CurveDataError too)."""
     try:
-        raw = json.loads(path.read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"manifest {path} is not valid JSON: {exc}") from exc
+        raise ManifestError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ManifestError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if from_dict is None:
+        return doc
+    try:
+        return from_dict(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ManifestError(f"{what} {path} is malformed: {exc}") from exc
+
+
+def load_manifest(path: Path | str) -> dict[str, ClipInfo]:
+    """Load a clip manifest: a JSON array of {id, path, frame_count,
+    frame_rate}, with an integer frame_count and a number frame_rate;
+    other keys are ignored."""
+    raw = _read_json(path, "manifest")
     if not isinstance(raw, list):
         raise ManifestError(f"manifest {path} must be a JSON array of clip entries")
     clips: dict[str, ClipInfo] = {}
     for i, entry in enumerate(raw):
         try:
-            clip = ClipInfo(
-                id=str(entry["id"]),
-                path=Path(entry["path"]),
-                frame_count=int(entry["frame_count"]),
-                frame_rate=float(entry["frame_rate"]),
-            )
+            count, rate = entry["frame_count"], entry["frame_rate"]
+            if not (_is_json_number(count, int) and _is_json_number(rate)):
+                raise ManifestError(
+                    f"manifest {path} entry {i}: frame_count must be an integer and "
+                    f"frame_rate a number, got {count!r} and {rate!r}"
+                )
+            clip = ClipInfo(id=str(entry["id"]), path=Path(entry["path"]),
+                            frame_count=count, frame_rate=float(rate))
         except (KeyError, TypeError, ValueError) as exc:
             raise ManifestError(f"manifest {path} entry {i}: {exc!r}") from exc
         if clip.id in clips:
@@ -137,12 +153,8 @@ class EncodeJob:
             )
 
 
-def _placeholders(template: str) -> list[str]:
-    return _PLACEHOLDER_RE.findall(template)
-
-
 def _validate_template(template: str, allowed: frozenset[str], required, label: str) -> None:
-    names = _placeholders(template)
+    names = _PLACEHOLDER_RE.findall(template)
     for name in names:
         if name not in allowed:
             raise TemplateError(
@@ -198,22 +210,9 @@ def _render_argv(template: str, values: dict[str, str]) -> list[str]:
     return argv
 
 
-# Where the pooled metric means sit in the report: the libvmaf JSON layout.
-_MSSSIM_PATH = ("pooled_metrics", "float_ms_ssim", "mean")
-_VMAF_PATH = ("pooled_metrics", "vmaf", "mean")
-
-
-def _dig(doc, path: tuple[str, ...]):
-    node = doc
-    for key in path:
-        if not isinstance(node, dict) or key not in node:
-            raise KeyError(key)
-        node = node[key]
-    return node
-
-
 def parse_metric_report(report_bytes: bytes | str) -> tuple[float, float | None]:
-    """Extract (msssim, vmaf) pooled means from a libvmaf JSON report.
+    """Extract (msssim, vmaf) pooled means from a libvmaf JSON report, at
+    pooled_metrics/float_ms_ssim/mean and pooled_metrics/vmaf/mean.
 
     msssim is required; vmaf is optional and returned as None when its
     key path is absent.
@@ -223,14 +222,14 @@ def parse_metric_report(report_bytes: bytes | str) -> tuple[float, float | None]
     except json.JSONDecodeError as exc:
         raise MetricReportError(f"metric report is not valid JSON: {exc}") from exc
     try:
-        msssim = float(_dig(doc, _MSSSIM_PATH))
+        msssim = float(doc["pooled_metrics"]["float_ms_ssim"]["mean"])
     except (KeyError, TypeError, ValueError):
         raise MetricReportError(
-            "metric report missing msssim at path " + "/".join(_MSSSIM_PATH)
+            "metric report missing msssim at path pooled_metrics/float_ms_ssim/mean"
         ) from None
     vmaf: float | None
     try:
-        vmaf = float(_dig(doc, _VMAF_PATH))
+        vmaf = float(doc["pooled_metrics"]["vmaf"]["mean"])
     except (KeyError, TypeError, ValueError):
         vmaf = None
     return msssim, vmaf
@@ -258,7 +257,7 @@ def encode_measure(job: EncodeJob, templates: CommandTemplate, clip: ClipInfo) -
     missing) or the system temp dir, and removed with the output and
     report files afterwards; a failed removal never fails the encode.
     """
-    if clip.path is None or not Path(clip.path).exists():
+    if not clip.path.exists():
         raise EncodeFailure(f"input clip {clip.path} does not exist")
     if job.work_dir is not None:
         job.work_dir.mkdir(parents=True, exist_ok=True)
@@ -347,19 +346,14 @@ class SyntheticClipModel:
 
     @classmethod
     def from_file(cls, path: Path | str) -> "SyntheticClipModel":
-        try:
-            raw = json.loads(Path(path).read_text())
-        except OSError as exc:
-            raise ManifestError(f"cannot read model file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ManifestError(f"model file {path} is not valid JSON: {exc}") from exc
+        raw = _read_json(path, "model file")
         if not isinstance(raw, dict):
             raise ManifestError(f"model file {path} must hold a JSON object of numbers")
         unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ManifestError(f"model file {path}: unknown fields {sorted(unknown)}")
         for name, value in raw.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if not _is_json_number(value):
                 raise ManifestError(f"model file {path}: field {name} must be a number, got {value!r}")
         return cls(**raw)
 

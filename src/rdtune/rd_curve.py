@@ -56,6 +56,12 @@ _SCORE_CHECK_LIMIT = 1.0 - 1e-9
 _MIN_POINTS = 4
 
 
+def _is_json_number(value, kind=(int, float)) -> bool:
+    """True for a JSON number of the given kind (int: an integer).  JSON true
+    and false load as bool, a subclass of int, and are not numbers."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def msssim_to_db(score: float) -> float:
     """Map an MS-SSIM score in [0, 1) to decibels: -10*log10(1 - score)."""
     if not (0.0 <= score < 1.0):
@@ -118,9 +124,19 @@ class RDPoint:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RDPoint":
-        return cls(qp=int(d["qp"]), bitrate_kbps=float(d["bitrate_kbps"]),
+        """Inverse of to_dict.  qp must be an integer and the rest numbers
+        (vmaf may be null); true, 39.7 or "100" raise CurveDataError."""
+        qp, vmaf = d["qp"], d.get("vmaf")
+        if not _is_json_number(qp, int):
+            raise CurveDataError(f"qp must be an integer, got {qp!r}")
+        for name in ("bitrate_kbps", "msssim", "msssim_db"):
+            if not _is_json_number(d[name]):
+                raise CurveDataError(f"{name} must be a number, got {d[name]!r}")
+        if vmaf is not None and not _is_json_number(vmaf):
+            raise CurveDataError(f"vmaf must be a number or null, got {vmaf!r}")
+        return cls(qp=qp, bitrate_kbps=float(d["bitrate_kbps"]),
                    msssim=float(d["msssim"]), msssim_db=float(d["msssim_db"]),
-                   vmaf=None if d.get("vmaf") is None else float(d["vmaf"]))
+                   vmaf=None if vmaf is None else float(vmaf))
 
 
 @dataclass(frozen=True)

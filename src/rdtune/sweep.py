@@ -56,7 +56,7 @@ from queue import SimpleQueue
 from typing import Iterable, Iterator, Protocol
 
 from .errors import EncodeFailure, RdtuneError, SweepError
-from .encoder_bridge import EncodeJob
+from .encoder_bridge import EncodeJob, _read_json
 from .lambda_model import CodecId, FrameTypeGroup, LambdaScope, validate_qp
 from .rd_curve import (
     _MIN_POINTS,
@@ -640,12 +640,19 @@ class OptimizationResult:
         )
 
 
+def _document_text(doc: OptimizationResult | RDCurve) -> str:
+    """The file text of a result or curve document."""
+    return json.dumps(doc.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
 def save_result(result: OptimizationResult, path: Path | str) -> None:
-    Path(path).write_text(json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(_document_text(result))
 
 
 def load_result(path: Path | str) -> OptimizationResult:
-    return OptimizationResult.from_dict(json.loads(Path(path).read_text()))
+    """The result saved at path; a file that cannot be read or is not a
+    result document raises ManifestError naming it."""
+    return _read_json(path, "result file", OptimizationResult.from_dict)
 
 
 def _require_bd_ladder(config: SweepConfig) -> None:

@@ -340,6 +340,40 @@ class TestPlotCommand:
         assert "--out" in capsys.readouterr().err
 
 
+class TestMalformedInputFile:
+    # A file that parses as JSON but is no curve or result document.
+    SHAPES = {
+        "array": lambda doc: [],
+        "points_not_a_list": lambda doc: {**doc, "points": 5},
+        "qp_true": lambda doc: {**doc, "points": [{**doc["points"][0], "qp": True},
+                                                  *doc["points"][1:]]},
+    }
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("command", ["bdrate", "plot", "report"])
+    def test_is_one_error_line_naming_the_file(self, tmp_path, capsys, command, shape):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        if command == "report":
+            assert cli_dispatch(["optimize", "--synthetic", "default", "--out", str(good)]) == 0
+            doc = json.loads(good.read_text())
+            doc["reference_curve"] = self.SHAPES[shape](doc["reference_curve"])
+            bad.write_text(json.dumps([] if shape == "array" else doc))
+        else:
+            write_curve(good)
+            bad.write_text(json.dumps(self.SHAPES[shape](json.loads(good.read_text()))))
+        argv = {
+            "bdrate": ["bdrate", str(good), str(bad)],
+            "plot": ["plot", str(good), str(bad), "--out", str(tmp_path / "plot.svg")],
+            "report": ["report", str(good), str(bad)],
+        }[command]
+        capsys.readouterr()
+        assert cli_dispatch(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "plot.svg").exists()
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {command}: ") and str(bad) in captured.err
+
+
 class TestUsageErrors:
     def test_unknown_subcommand_distinct_exit(self, capsys):
         assert cli_dispatch(["frobnicate"]) == 2

@@ -166,6 +166,32 @@ class TestClipManifest:
         with pytest.raises(ManifestError, match="frame_rate must be positive and finite"):
             load_manifest(p)
 
+    @pytest.mark.parametrize(
+        "frame_count, frame_rate",
+        [(2.9, 25.0), (2.0, 25.0), (True, 25.0), ("7", 25.0), (None, 25.0),
+         (7, "25"), (7, True), (7, None)],
+    )
+    def test_numbers_are_not_coerced(self, tmp_path, frame_count, frame_rate):
+        # These used to load as int() and float() of the value: 2.9 as 2,
+        # true as 1, "25" as 25.0.
+        good = {"id": "a", "path": "x", "frame_count": 7, "frame_rate": 25.0}
+        bad = {"id": "b", "path": "y", "frame_count": frame_count, "frame_rate": frame_rate}
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps([good, bad]))
+        with pytest.raises(ManifestError, match="m.json entry 1: frame_count must be an integer"):
+            load_manifest(p)
+
+    def test_integer_frame_rate_loads_as_float(self, tmp_path):
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps([{"id": "a", "path": "x", "frame_count": 50, "frame_rate": 25}]))
+        assert repr(load_manifest(p)["a"].frame_rate) == "25.0"
+
+    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path):
+        p = tmp_path / "m.json"
+        p.write_bytes(b'[{"id": "\xff"}]')
+        with pytest.raises(ManifestError, match="manifest .*m.json is not valid JSON"):
+            load_manifest(p)
+
 
 class TestCommandTemplate:
     def test_valid(self, stub_tools):

@@ -112,6 +112,23 @@ class TestRDPoint:
         p = RDPoint.from_score(qp=39, bitrate_kbps=1234.5, msssim=0.97, vmaf=88.0)
         assert RDPoint.from_dict(p.to_dict()) == p
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("qp", True), ("qp", 39.7), ("qp", 39.0), ("qp", "39"), ("bitrate_kbps", "100"),
+         ("bitrate_kbps", True), ("msssim", "0.97"), ("msssim_db", None), ("vmaf", "88")],
+    )
+    def test_from_dict_refuses_what_is_not_a_json_number(self, field, value):
+        # These used to load coerced: true as qp 1, 39.7 as 39, "100" as 100.0.
+        d = RDPoint.from_score(qp=39, bitrate_kbps=1234.5, msssim=0.97, vmaf=88.0).to_dict()
+        d[field] = value
+        with pytest.raises(CurveDataError, match=f"{field} must be"):
+            RDPoint.from_dict(d)
+
+    def test_from_dict_takes_integral_rates(self):
+        p = RDPoint.from_dict({"qp": 39, "bitrate_kbps": 100, "msssim": 0.9,
+                               "msssim_db": msssim_to_db(0.9), "vmaf": 80})
+        assert p.bitrate_kbps == 100.0 and type(p.bitrate_kbps) is float and p.vmaf == 80.0
+
 
 class TestRDCurve:
     def test_sorts_by_quality(self):

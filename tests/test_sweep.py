@@ -15,7 +15,7 @@ import pytest
 
 from rdtune import sweep
 from rdtune.encoder_bridge import EncodeJob, SyntheticClipModel, SyntheticEncoder, synth_encode
-from rdtune.errors import DomainError, EncodeFailure, SweepError
+from rdtune.errors import DomainError, EncodeFailure, ManifestError, SweepError
 from rdtune.lambda_model import CodecId, FrameTypeGroup, LambdaScope
 from rdtune.rd_curve import bd_quality, bd_rate, matched_qp_savings, mean_matched_savings, mean_vmaf_delta
 from rdtune.sweep import (
@@ -229,6 +229,10 @@ class TestPointCache:
             b'{"cache_key": "6ae7489995185569aa0faa64ce619cedc558ad1ba9646cf478a72b4825cf96f0", '
             b'"qp": 49, "bitrate_kbps": 364.65534989744805, "msssim": 0.9408438365824526, '
             b'"msssim_db": 12.28, "vmaf": NaN}',
+            # The same record with its bitrate as a string.
+            b'{"cache_key": "6ae7489995185569aa0faa64ce619cedc558ad1ba9646cf478a72b4825cf96f0", '
+            b'"qp": 49, "bitrate_kbps": "364.65534989744805", "msssim": 0.9408438365824526, '
+            b'"msssim_db": 12.28, "vmaf": 41.12}',
         ],
     )
     def test_corrupt_entry_is_a_miss_and_overwritten(self, tmp_path, content):
@@ -961,6 +965,14 @@ class TestOptimizeClip:
 
 class TestOptimizeClipPooled(PooledDispatch, TestOptimizeClip):
     pass
+
+
+@pytest.mark.parametrize("text", ["{", "[]", '{"clip_id": "c"}', "\udcff"])
+def test_malformed_result_file_names_it(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text, errors="surrogateescape")
+    with pytest.raises(ManifestError, match="result file .*bad.json"):
+        load_result(path)
 
 
 class ClipSet(SyntheticEncoder):
