@@ -62,6 +62,27 @@ def _is_json_number(value, kind=(int, float)) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+_JSON_KINDS = {str: "a string", bool: "true or false", int: "an integer", float: "a number"}
+
+
+def _json_field(d: dict, name: str, kind: type = float, null: bool = False):
+    """d[name] if it is a JSON value of kind, as a float for kind float (any
+    JSON number); with null, a missing or null field is None.  Anything
+    else, such as true for a number or 2.9 for an integer, raises
+    CurveDataError rather than being coerced."""
+    value = d.get(name) if null else d[name]
+    if null and value is None:
+        return None
+    if kind in (int, float):
+        ok = _is_json_number(value, int if kind is int else (int, float))
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        what = _JSON_KINDS[kind] + (" or null" if null else "")
+        raise CurveDataError(f"{name} must be {what}, got {value!r}")
+    return float(value) if kind is float else value
+
+
 def msssim_to_db(score: float) -> float:
     """Map an MS-SSIM score in [0, 1) to decibels: -10*log10(1 - score)."""
     if not (0.0 <= score < 1.0):
@@ -126,17 +147,9 @@ class RDPoint:
     def from_dict(cls, d: dict) -> "RDPoint":
         """Inverse of to_dict.  qp must be an integer and the rest numbers
         (vmaf may be null); true, 39.7 or "100" raise CurveDataError."""
-        qp, vmaf = d["qp"], d.get("vmaf")
-        if not _is_json_number(qp, int):
-            raise CurveDataError(f"qp must be an integer, got {qp!r}")
-        for name in ("bitrate_kbps", "msssim", "msssim_db"):
-            if not _is_json_number(d[name]):
-                raise CurveDataError(f"{name} must be a number, got {d[name]!r}")
-        if vmaf is not None and not _is_json_number(vmaf):
-            raise CurveDataError(f"vmaf must be a number or null, got {vmaf!r}")
-        return cls(qp=qp, bitrate_kbps=float(d["bitrate_kbps"]),
-                   msssim=float(d["msssim"]), msssim_db=float(d["msssim_db"]),
-                   vmaf=None if vmaf is None else float(vmaf))
+        return cls(qp=_json_field(d, "qp", int), bitrate_kbps=_json_field(d, "bitrate_kbps"),
+                   msssim=_json_field(d, "msssim"), msssim_db=_json_field(d, "msssim_db"),
+                   vmaf=_json_field(d, "vmaf", null=True))
 
 
 @dataclass(frozen=True)
@@ -231,12 +244,14 @@ class RDCurve:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RDCurve":
+        """Inverse of to_dict; a field of the wrong JSON type, such as
+        "k": true, raises CurveDataError."""
         return cls(
-            clip_id=str(d["clip_id"]),
-            codec=CodecId.parse(d["codec"]),
-            k=float(d["k"]),
-            group=FrameTypeGroup.parse(d["group"]),
-            scope=LambdaScope.parse(d["scope"]),
+            clip_id=_json_field(d, "clip_id", str),
+            codec=CodecId.parse(_json_field(d, "codec", str)),
+            k=_json_field(d, "k"),
+            group=FrameTypeGroup.parse(_json_field(d, "group", str)),
+            scope=LambdaScope.parse(_json_field(d, "scope", str)),
             points=tuple(RDPoint.from_dict(p) for p in d["points"]),
         )
 

@@ -4,10 +4,12 @@ brent_minimize runs the classic parabolic-interpolation-guarded-by-
 golden-section iteration and guarantees that every probe stays strictly
 inside the initial bracket and that the returned point is the best one
 actually evaluated, never an unevaluated interpolate.  Both guarantees
-matter when one evaluation costs a full encode sweep, and so do two
+matter when one evaluation costs a full encode sweep, and so do three
 departures from the textbook start and stop: the first step tries the
-parabola through the bracket's three evaluated points, and the stop
-tolerance xtol*(|x| + 1/2) keeps an absolute floor of xtol/2 near x = 0.
+parabola through the bracket's three evaluated points; the stop tolerance
+xtol*(|x| + 1/2) keeps an absolute floor of xtol/2 near x = 0; and with
+ftol > 0 the search also stops, without probing, when an accepted
+parabolic step predicts a gain below ftol in f's own units.
 """
 
 from __future__ import annotations
@@ -53,12 +55,19 @@ class Bracket:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """brent_minimize's stop rules: xtol on x, relative with a floor; at most
+    max_iters evaluations; and ftol, in f's units, on the gain an accepted
+    parabolic step predicts (0 turns that rule off)."""
+
     xtol: float = 1e-4
     max_iters: int = 50
+    ftol: float = 0.0
 
     def __post_init__(self) -> None:
         if self.xtol <= 0.0:
             raise ValueError(f"xtol must be positive, got {self.xtol}")
+        if not (0.0 <= self.ftol < math.inf):
+            raise ValueError(f"ftol must be finite and not negative, got {self.ftol}")
         if self.max_iters < 3:
             raise ValueError(f"max_iters must be at least 3, got {self.max_iters}")
 
@@ -123,7 +132,9 @@ def brent_minimize(
     """Minimize f inside a bracket; returns (x_best, f_best, trace).
 
     The first step tries the parabola through the bracket's three points.
-    Stops when the interval around x is within 2*xtol*(|x| + 1/2) + tiny,
+    Stops when the interval around x is within 2*xtol*(|x| + 1/2) + tiny;
+    when an accepted parabolic step's parabola, convex through (x, w, v),
+    puts its vertex less than ftol below f(x) (the vertex is not probed);
     or after max_iters evaluations (then converged=False).  The result is
     the best evaluated point over the bracket and all probes.
     """
@@ -158,6 +169,13 @@ def brent_minimize(
             e_prev, e = e, d
             if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x) and q >= 1e-21:
                 d = p / q
+                # The parabola's curvature f[x, w, v]: its vertex x + d lies
+                # c*d**2 below f(x).  A concave one's vertex is a maximum, and
+                # c > 0 keeps ftol = 0 from ever stopping the search here.
+                c = ((fw - fx) / (w - x) - (fv - fx) / (v - x)) / (w - v)
+                if c > 0.0 and c * d * d < config.ftol:
+                    trace.converged = True
+                    break
                 u = x + d
                 if (u - a) < tol2 or (b - u) < tol2:
                     d = tol1 if x < m else -tol1

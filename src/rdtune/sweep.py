@@ -27,7 +27,8 @@ system temp dir) and removes it when done; the synthetic backend writes
 no files.
 
 The search is one fixed bracketing plus Brent over ln k, at
-DEFAULT_OPTIMIZER's tolerance and iteration cap.  It has one failure
+DEFAULT_OPTIMIZER's tolerances (xtol in ln k, ftol in BD-Rate points) and
+iteration cap.  It has one failure
 rule: any RdtuneError raised while bracketing or refining (a probe whose
 sweep or BD-Rate fails, or no bracket inside the k bounds) ends the
 search, and k-hat is the best trial evaluated up to then, including the
@@ -60,6 +61,7 @@ from .encoder_bridge import EncodeJob, _read_json
 from .lambda_model import CodecId, FrameTypeGroup, LambdaScope, validate_qp
 from .rd_curve import (
     _MIN_POINTS,
+    _json_field,
     RDCurve,
     RDPoint,
     bd_rate,
@@ -94,7 +96,7 @@ DEFAULT_QP_LADDERS: dict[CodecId, tuple[int, ...]] = {
     CodecId.HEVC: (22, 27, 32, 37, 42),
 }
 
-DEFAULT_OPTIMIZER = OptimizerConfig(xtol=0.01, max_iters=25)
+DEFAULT_OPTIMIZER = OptimizerConfig(xtol=0.01, max_iters=25, ftol=0.01)
 
 # The search over ln k: the window k in [1/16, 16] and the downhill seeds
 # k = 0.5 and k = 1.
@@ -534,10 +536,10 @@ class TrialRecord:
     @classmethod
     def from_dict(cls, d: dict) -> "TrialRecord":
         return cls(
-            k=float(d["k"]),
+            k=_json_field(d, "k"),
             curve=RDCurve.from_dict(d["curve"]),
-            cost=float(d["cost"]),
-            encoder_invocations=int(d["encoder_invocations"]),
+            cost=_json_field(d, "cost"),
+            encoder_invocations=_json_field(d, "encoder_invocations", int),
         )
 
 
@@ -575,8 +577,9 @@ def evaluate_cost(
 class OptimizationResult:
     """Per-clip outcome plus everything needed to report it.
 
-    stop_reason says why the search ended: "converged" or "max_iters" from
-    Brent, "no_bracket" when no bracket was found inside the k bounds, or
+    stop_reason says why the search ended: "converged" (on xtol, or on a
+    predicted gain below ftol) or "max_iters" from Brent, "no_bracket" when
+    no bracket was found inside the k bounds, or
     "failed_probe" when a probe raised.  A result saved before the field
     existed loads with "unknown".
     """
@@ -621,20 +624,20 @@ class OptimizationResult:
     @classmethod
     def from_dict(cls, d: dict) -> "OptimizationResult":
         return cls(
-            clip_id=str(d["clip_id"]),
-            codec=CodecId.parse(d["codec"]),
-            group=FrameTypeGroup.parse(d["group"]),
-            scope=LambdaScope.parse(d["scope"]),
-            k_hat=float(d["k_hat"]),
-            bd_rate=float(d["bd_rate"]),
-            iterations=int(d["iterations"]),
-            stop_reason=str(d.get("stop_reason", "unknown")),
-            improved=bool(d["improved"]),
-            rd2_savings=float(d["rd2_savings"]),
-            mean_savings=float(d["mean_savings"]),
-            msssim_change_db=float(d["msssim_change_db"]),
-            vmaf_change=None if d.get("vmaf_change") is None else float(d["vmaf_change"]),
-            total_invocations=int(d["total_invocations"]),
+            clip_id=_json_field(d, "clip_id", str),
+            codec=CodecId.parse(_json_field(d, "codec", str)),
+            group=FrameTypeGroup.parse(_json_field(d, "group", str)),
+            scope=LambdaScope.parse(_json_field(d, "scope", str)),
+            k_hat=_json_field(d, "k_hat"),
+            bd_rate=_json_field(d, "bd_rate"),
+            iterations=_json_field(d, "iterations", int),
+            stop_reason=_json_field(d, "stop_reason", str) if "stop_reason" in d else "unknown",
+            improved=_json_field(d, "improved", bool),
+            rd2_savings=_json_field(d, "rd2_savings"),
+            mean_savings=_json_field(d, "mean_savings"),
+            msssim_change_db=_json_field(d, "msssim_change_db"),
+            vmaf_change=_json_field(d, "vmaf_change", null=True),
+            total_invocations=_json_field(d, "total_invocations", int),
             trials=tuple(TrialRecord.from_dict(t) for t in d["trials"]),
             reference_curve=RDCurve.from_dict(d["reference_curve"]),
         )

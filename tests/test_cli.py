@@ -374,6 +374,90 @@ class TestMalformedInputFile:
         assert captured.err.startswith(f"error: {command}: ") and str(bad) in captured.err
 
 
+def _set(path, value):
+    """A function setting doc[path[0]][path[1]]... to value in a copy of doc."""
+    def apply(doc):
+        doc = json.loads(json.dumps(doc))
+        *outer, last = path
+        target = doc
+        for key in outer:
+            target = target[key]
+        target[last] = value
+        return doc
+    return apply
+
+
+class TestFieldTypesAreNotCoerced:
+    # Each of these used to load coerced (true as k 1.0, 5 as clip "5", 2.9
+    # iterations as 2) or, for a codec that is not a string, to end in an
+    # AttributeError traceback.
+    CURVE = {
+        "k_true": _set(["k"], True),
+        "k_string": _set(["k"], "2"),
+        "clip_id_number": _set(["clip_id"], 5),
+        "codec_number": _set(["codec"], 5),
+        "scope_null": _set(["scope"], None),
+    }
+    RESULT = {
+        "iterations_fraction": _set(["iterations"], 2.9),
+        "total_invocations_true": _set(["total_invocations"], True),
+        "k_hat_true": _set(["k_hat"], True),
+        "bd_rate_string": _set(["bd_rate"], "-37.8"),
+        "improved_number": _set(["improved"], 1),
+        "stop_reason_null": _set(["stop_reason"], None),
+        "vmaf_change_string": _set(["vmaf_change"], "0.5"),
+        "trial_cost_true": _set(["trials", 1, "cost"], True),
+        "trial_invocations_fraction": _set(["trials", 1, "encoder_invocations"], 4.5),
+        "trial_k_string": _set(["trials", 1, "k"], "0.5"),
+    }
+
+    @staticmethod
+    def run(tmp_path, capsys, command, good, bad):
+        argv = {
+            "bdrate": ["bdrate", str(good), str(bad)],
+            "plot": ["plot", str(good), str(bad), "--out", str(tmp_path / "plot.svg")],
+            "report": ["report", str(good), str(bad)],
+        }[command]
+        capsys.readouterr()
+        assert cli_dispatch(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "plot.svg").exists()
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {command}: ") and str(bad) in captured.err
+
+    def optimized(self, tmp_path):
+        good = tmp_path / "good.json"
+        assert cli_dispatch(["optimize", "--synthetic", "default", "--out", str(good)]) == 0
+        return good, json.loads(good.read_text())
+
+    @pytest.mark.parametrize("shape", CURVE)
+    @pytest.mark.parametrize("command", ["bdrate", "plot", "report"])
+    def test_curve_field(self, tmp_path, capsys, command, shape):
+        bad = tmp_path / "bad.json"
+        if command == "report":
+            good, doc = self.optimized(tmp_path)
+            doc["reference_curve"] = self.CURVE[shape](doc["reference_curve"])
+        else:
+            good = tmp_path / "good.json"
+            write_curve(good)
+            doc = self.CURVE[shape](json.loads(good.read_text()))
+        bad.write_text(json.dumps(doc))
+        self.run(tmp_path, capsys, command, good, bad)
+
+    @pytest.mark.parametrize("shape", RESULT)
+    def test_result_field(self, tmp_path, capsys, shape):
+        good, doc = self.optimized(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(self.RESULT[shape](doc)))
+        self.run(tmp_path, capsys, "report", good, bad)
+
+    def test_result_without_stop_reason_loads_as_unknown(self, tmp_path):
+        good, doc = self.optimized(tmp_path)
+        del doc["stop_reason"]
+        good.write_text(json.dumps(doc))
+        assert load_result(good).stop_reason == "unknown"
+
+
 class TestUsageErrors:
     def test_unknown_subcommand_distinct_exit(self, capsys):
         assert cli_dispatch(["frobnicate"]) == 2

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdtune.errors import BracketError
 from rdtune.scalar_opt import (
@@ -157,7 +159,57 @@ class TestBrent:
         assert trace.iterations == len(trace.evaluations)
 
 
+class TestFtol:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.floats(-3.0, 3.0),
+        scale=st.floats(0.01, 100.0),
+        skew=st.floats(-3.0, 3.0),
+        quartic=st.floats(0.01, 2.0),
+        seed=st.floats(-4.0, 4.0),
+        step=st.floats(0.2, 2.0),
+        ftol=st.floats(1e-6, 1.0),
+    )
+    def test_trace_is_a_prefix_of_the_ftol_zero_trace(
+        self, m, scale, skew, quartic, seed, step, ftol
+    ):
+        # Smooth and unimodal, with its minimum at m; skew makes it asymmetric.
+        def f(x):
+            t = x - m
+            return scale * (math.exp(skew * t) - skew * t - 1.0 + quartic * t**4)
+
+        br = bracket_minimum(f, m + seed, m + seed + step)
+        _, _, full = brent_minimize(f, br, OptimizerConfig(xtol=1e-4))
+        x, fx, trace = brent_minimize(f, br, OptimizerConfig(xtol=1e-4, ftol=ftol))
+        n = len(trace.evaluations)
+        assert trace.evaluations == full.evaluations[:n]
+        evaluated = [(br.fa, br.a), (br.fb, br.b), (br.fc, br.c)]
+        evaluated += [(fu, u) for u, fu in trace.evaluations]
+        assert (fx, x) in evaluated and fx == min(fu for fu, _ in evaluated)
+        if n < len(full.evaluations):
+            assert trace.converged
+
+    def test_stops_without_probing_the_vertex(self):
+        # The bracket's points fit this quadratic exactly, so its parabola
+        # predicts the true gain, 0.09, at the vertex x = 0.3.
+        f = lambda x: (x - 0.3) ** 2
+        br = make_bracket(f, -1.0, 0.0, 1.0)
+        x, fx, trace = brent_minimize(f, br, OptimizerConfig(ftol=0.1))
+        assert trace.converged and trace.evaluations == []
+        assert (x, fx) == (0.0, f(0.0))
+        _, _, trace = brent_minimize(f, br, OptimizerConfig(ftol=0.08))
+        assert trace.evaluations[0][0] == pytest.approx(0.3, abs=1e-12)
+
+
 class TestOptimizerConfig:
+    def test_ftol_default_is_zero(self):
+        assert OptimizerConfig().ftol == 0.0
+
+    @pytest.mark.parametrize("ftol", [-1.0, math.nan, math.inf])
+    def test_ftol_validation(self, ftol):
+        with pytest.raises(ValueError, match="ftol"):
+            OptimizerConfig(ftol=ftol)
+
     def test_defaults(self):
         config = OptimizerConfig()
         assert config.xtol == 1e-4

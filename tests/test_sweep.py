@@ -792,21 +792,38 @@ class TestOptimizeClip:
 
     def test_default_model_probe_count(self, tmp_path):
         # Brent's first step is the parabola through the bracket, and it
-        # stops once the interval is within xtol*(|ln k| + 1/2).
+        # stops once a parabolic step predicts less than ftol (0.01 BD-Rate
+        # points) of gain, before the interval reaches xtol*(|ln k| + 1/2).
         result = optimize_clip("clip", av1_config(cache_dir=tmp_path), synthetic_backend())
         assert result.stop_reason == "converged"
-        assert result.iterations == 7
-        assert result.total_invocations == 35
+        assert result.iterations == 5
+        assert result.total_invocations == 25
 
     def test_control_probe_count(self, tmp_path):
-        # Near k = 1 the stop test keeps its xtol/2 floor in ln k, so a
-        # clip with nothing to gain does not probe below what it resolves.
+        # A clip with nothing to gain stops at Brent's first parabolic step,
+        # which predicts less than ftol of gain, right after the bracket.
         backend = synthetic_backend(gamma=0.01, k_star=1.0)
         result = optimize_clip("clip", av1_config(cache_dir=tmp_path), backend)
         assert result.stop_reason == "converged"
-        assert result.iterations == 6
-        assert result.total_invocations == 30
-        assert abs(result.k_hat - 1.0) <= DEFAULT_OPTIMIZER.xtol
+        assert result.iterations == 2
+        assert result.total_invocations == 10
+        assert result.k_hat == 1.0
+
+    def test_flat_noisy_cost_stops_on_ftol(self, tmp_path, monkeypatch):
+        # A small gamma leaves about one BD-Rate point to gain, and the noise
+        # is as large as what the parabola predicts near the minimum; there
+        # Brent with ftol = 0 chases last-bit differences between trials.
+        def search(cache_dir):
+            backend = synthetic_backend(gamma=0.02, k_star=1.2, noise_seed=3)
+            return optimize_clip("clip", av1_config(cache_dir=cache_dir), backend)
+
+        result = search(tmp_path / "ftol")
+        monkeypatch.setattr(sweep, "DEFAULT_OPTIMIZER", replace(DEFAULT_OPTIMIZER, ftol=0.0))
+        without = search(tmp_path / "no-ftol")
+        assert result.stop_reason == "converged"
+        assert result.iterations < without.iterations
+        best = min(result.trials, key=lambda t: t.cost)
+        assert result.improved and (result.k_hat, result.bd_rate) == (best.k, best.cost)
 
     def test_bd_rate_is_min_over_trials(self, tmp_path):
         result = optimize_clip("clip", av1_config(cache_dir=tmp_path), synthetic_backend())
@@ -930,7 +947,7 @@ class TestOptimizeClip:
         assert baseline.curve == result.reference_curve
 
     def test_stop_reason_max_iters(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(sweep, "DEFAULT_OPTIMIZER", replace(DEFAULT_OPTIMIZER, xtol=1e-9, max_iters=3))
+        monkeypatch.setattr(sweep, "DEFAULT_OPTIMIZER", replace(DEFAULT_OPTIMIZER, xtol=1e-9, max_iters=3, ftol=0.0))
         result = optimize_clip("clip", av1_config(cache_dir=tmp_path), synthetic_backend())
         assert result.stop_reason == "max_iters"
         assert result.improved
