@@ -36,7 +36,15 @@ from .errors import (
     TemplateError,
 )
 from .lambda_model import CodecId, FrameTypeGroup, LambdaScope, validate_qp
-from .rd_curve import RDPoint, _is_json_number, db_to_msssim, msssim_to_db
+from .rd_curve import (
+    _JSON_KINDS,
+    RDPoint,
+    _field_types,
+    _is_json_number,
+    _json_field,
+    db_to_msssim,
+    msssim_to_db,
+)
 
 __all__ = [
     "ClipInfo",
@@ -112,7 +120,7 @@ def load_manifest(path: Path | str) -> dict[str, ClipInfo]:
                     f"manifest {path} entry {i}: frame_count must be an integer and "
                     f"frame_rate a number, got {count!r} and {rate!r}"
                 )
-            clip = ClipInfo(id=str(entry["id"]), path=Path(entry["path"]),
+            clip = ClipInfo(id=_json_field(entry, "id", str), path=Path(entry["path"]),
                             frame_count=count, frame_rate=float(rate))
         except (KeyError, TypeError, ValueError) as exc:
             raise ManifestError(f"manifest {path} entry {i}: {exc!r}") from exc
@@ -214,25 +222,29 @@ def parse_metric_report(report_bytes: bytes | str) -> tuple[float, float | None]
     """Extract (msssim, vmaf) pooled means from a libvmaf JSON report, at
     pooled_metrics/float_ms_ssim/mean and pooled_metrics/vmaf/mean.
 
-    msssim is required; vmaf is optional and returned as None when its
-    key path is absent.
+    Both must be JSON numbers, not coerced from strings or true.  msssim is
+    required; vmaf is optional and returned as None when its key path is
+    absent or null.
     """
     try:
         doc = json.loads(report_bytes)
     except json.JSONDecodeError as exc:
         raise MetricReportError(f"metric report is not valid JSON: {exc}") from exc
-    try:
-        msssim = float(doc["pooled_metrics"]["float_ms_ssim"]["mean"])
-    except (KeyError, TypeError, ValueError):
+    means = []
+    for metric in ("float_ms_ssim", "vmaf"):
+        try:
+            means.append(doc["pooled_metrics"][metric]["mean"])
+        except (KeyError, TypeError):
+            means.append(None)
+    msssim, vmaf = means
+    if not _is_json_number(msssim):
         raise MetricReportError(
             "metric report missing msssim at path pooled_metrics/float_ms_ssim/mean"
-        ) from None
-    vmaf: float | None
-    try:
-        vmaf = float(doc["pooled_metrics"]["vmaf"]["mean"])
-    except (KeyError, TypeError, ValueError):
-        vmaf = None
-    return msssim, vmaf
+            + ("" if msssim is None else f" (not a number: {msssim!r})")
+        )
+    if not (vmaf is None or _is_json_number(vmaf)):
+        raise MetricReportError(f"metric report vmaf mean is not a number: {vmaf!r}")
+    return float(msssim), None if vmaf is None else float(vmaf)
 
 
 def _run_child(argv: list[str], label: str) -> None:
@@ -349,12 +361,15 @@ class SyntheticClipModel:
         raw = _read_json(path, "model file")
         if not isinstance(raw, dict):
             raise ManifestError(f"model file {path} must hold a JSON object of numbers")
-        unknown = set(raw) - set(cls.__dataclass_fields__)
+        kinds = _field_types(cls)
+        unknown = set(raw) - set(kinds)
         if unknown:
             raise ManifestError(f"model file {path}: unknown fields {sorted(unknown)}")
         for name, value in raw.items():
-            if not _is_json_number(value):
-                raise ManifestError(f"model file {path}: field {name} must be a number, got {value!r}")
+            # Out-of-range numbers, NaN included, are __post_init__'s DomainError.
+            if not _is_json_number(value, kinds[name]):
+                what = _JSON_KINDS[kinds[name]]
+                raise ManifestError(f"model file {path}: field {name} must be {what}, got {value!r}")
         return cls(**raw)
 
 

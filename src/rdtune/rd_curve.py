@@ -21,8 +21,11 @@ order, CPU or Python version.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+import sys
+from dataclasses import dataclass, field, fields
+from enum import Enum
+from functools import cache, cached_property
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import (
     CurveDataError,
@@ -56,10 +59,11 @@ _SCORE_CHECK_LIMIT = 1.0 - 1e-9
 _MIN_POINTS = 4
 
 
-def _is_json_number(value, kind=(int, float)) -> bool:
-    """True for a JSON number of the given kind (int: an integer).  JSON true
-    and false load as bool, a subclass of int, and are not numbers."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+def _is_json_number(value, kind: type = float) -> bool:
+    """True for a JSON number of the given kind: int for an integer, float
+    for any number.  JSON true and false load as bool, a subclass of int,
+    and are not numbers."""
+    return isinstance(value, int if kind is int else (int, float)) and not isinstance(value, bool)
 
 
 _JSON_KINDS = {str: "a string", bool: "true or false", int: "an integer", float: "a number"}
@@ -67,20 +71,68 @@ _JSON_KINDS = {str: "a string", bool: "true or false", int: "an integer", float:
 
 def _json_field(d: dict, name: str, kind: type = float, null: bool = False):
     """d[name] if it is a JSON value of kind, as a float for kind float (any
-    JSON number); with null, a missing or null field is None.  Anything
-    else, such as true for a number or 2.9 for an integer, raises
-    CurveDataError rather than being coerced."""
+    JSON number within the float range); with null, a missing or null field
+    is None.  Anything else, such as true for a number, 2.9 for an integer
+    or NaN, raises CurveDataError rather than being coerced."""
     value = d.get(name) if null else d[name]
     if null and value is None:
         return None
-    if kind in (int, float):
-        ok = _is_json_number(value, int if kind is int else (int, float))
-    else:
-        ok = isinstance(value, kind)
-    if not ok:
+    if not (_is_json_number(value, kind) if kind in (int, float) else isinstance(value, kind)):
         what = _JSON_KINDS[kind] + (" or null" if null else "")
         raise CurveDataError(f"{name} must be {what}, got {value!r}")
+    if kind is float and not abs(value) <= sys.float_info.max:  # NaN, ±Infinity, 10**400
+        raise CurveDataError(f"{name} must be finite, got {value!r}")
     return float(value) if kind is float else value
+
+
+@cache
+def _field_types(cls: type) -> dict[str, type]:
+    """The resolved annotations of a dataclass, once per class (the modules
+    use postponed annotations, so they are strings until resolved)."""
+    return get_type_hints(cls)
+
+
+@cache
+def _plan(cls: type) -> tuple:
+    """A document class's (to_dict, from_dict), made once from its fields as
+    dataclasses makes __init__: each is the one expression a hand-written
+    body would be, so a call costs what a hand-written one does."""
+    space, writes, reads = {"_json_field": _json_field}, [], []
+    for name in (f.name for f in fields(cls)):
+        kind = _field_types(cls)[name]
+        args, this = get_args(kind), f"self.{name}"
+        space[f"_{name}"] = args[0] if args else kind
+        if get_origin(kind) is tuple:  # tuple[Doc, ...]: an array of documents
+            write = f"[x.to_dict() for x in {this}]"
+            read = f"tuple(_{name}.from_dict(x) for x in d[{name!r}])"
+        elif type(None) in args:  # X | None
+            write, read = this, f"_json_field(d, {name!r}, _{name}, null=True)"
+        elif issubclass(kind, _Document):
+            write, read = f"{this}.to_dict()", f"_{name}.from_dict(d[{name!r}])"
+        elif issubclass(kind, Enum):
+            write, read = f"{this}.value", f"_{name}.parse(_json_field(d, {name!r}, str))"
+        else:
+            write, read = this, f"_json_field(d, {name!r}, _{name})"
+        writes.append(f"{name!r}: {write}")
+        reads.append(f"{name}={read}")
+    return (eval(f"lambda self: {{{', '.join(writes)}}}", space),
+            eval(f"lambda cls, d: cls({', '.join(reads)})", space))
+
+
+class _Document:
+    """Maps a dataclass to a JSON object and back by one rule, read from its
+    field annotations: an enum is its value, a document a nested object, a
+    tuple[Doc, ...] an array, an X | None field may be null or missing, and
+    every other field is a JSON value of its type (_json_field).  A field of
+    the wrong JSON type raises CurveDataError rather than being coerced."""
+
+    def to_dict(self) -> dict:
+        return _plan(type(self))[0](self)
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        """Inverse of to_dict."""
+        return _plan(cls)[1](cls, d)
 
 
 def msssim_to_db(score: float) -> float:
@@ -98,7 +150,7 @@ def db_to_msssim(db: float) -> float:
 
 
 @dataclass(frozen=True)
-class RDPoint:
+class RDPoint(_Document):
     """One (qp, bitrate, quality) measurement."""
 
     qp: int
@@ -134,26 +186,9 @@ class RDPoint:
         return cls(qp=qp, bitrate_kbps=bitrate_kbps, msssim=db_to_msssim(msssim_db),
                    msssim_db=msssim_db, vmaf=vmaf)
 
-    def to_dict(self) -> dict:
-        return {
-            "qp": self.qp,
-            "bitrate_kbps": self.bitrate_kbps,
-            "msssim": self.msssim,
-            "msssim_db": self.msssim_db,
-            "vmaf": self.vmaf,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RDPoint":
-        """Inverse of to_dict.  qp must be an integer and the rest numbers
-        (vmaf may be null); true, 39.7 or "100" raise CurveDataError."""
-        return cls(qp=_json_field(d, "qp", int), bitrate_kbps=_json_field(d, "bitrate_kbps"),
-                   msssim=_json_field(d, "msssim"), msssim_db=_json_field(d, "msssim_db"),
-                   vmaf=_json_field(d, "vmaf", null=True))
-
 
 @dataclass(frozen=True)
-class RDCurve:
+class RDCurve(_Document):
     """Measurements for one (clip, k, group, scope), sorted by ascending quality.
 
     Both quality and bitrate must be strictly increasing along the sorted
@@ -168,8 +203,8 @@ class RDCurve:
     points: tuple[RDPoint, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if self.k <= 0.0:
-            raise CurveDataError(f"scale factor k must be positive, got {self.k}")
+        if not 0.0 < self.k < math.inf:
+            raise CurveDataError(f"scale factor k must be positive and finite, got {self.k}")
         if not self.group.valid_for(self.codec):
             raise CurveDataError(f"group {self.group.value} invalid for codec {self.codec.value}")
         pts = tuple(sorted(self.points, key=lambda p: p.msssim_db))
@@ -231,29 +266,6 @@ class RDCurve:
     def quality_fit(self) -> PchipInterpolant:
         """Monotone fit of log10 bitrate -> quality (dB)."""
         return self._quality_fit
-
-    def to_dict(self) -> dict:
-        return {
-            "clip_id": self.clip_id,
-            "codec": self.codec.value,
-            "k": self.k,
-            "group": self.group.value,
-            "scope": self.scope.value,
-            "points": [p.to_dict() for p in self.points],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RDCurve":
-        """Inverse of to_dict; a field of the wrong JSON type, such as
-        "k": true, raises CurveDataError."""
-        return cls(
-            clip_id=_json_field(d, "clip_id", str),
-            codec=CodecId.parse(_json_field(d, "codec", str)),
-            k=_json_field(d, "k"),
-            group=FrameTypeGroup.parse(_json_field(d, "group", str)),
-            scope=LambdaScope.parse(_json_field(d, "scope", str)),
-            points=tuple(RDPoint.from_dict(p) for p in d["points"]),
-        )
 
 
 def _integrate_difference(

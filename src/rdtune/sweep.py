@@ -61,7 +61,7 @@ from .encoder_bridge import EncodeJob, _read_json
 from .lambda_model import CodecId, FrameTypeGroup, LambdaScope, validate_qp
 from .rd_curve import (
     _MIN_POINTS,
-    _json_field,
+    _Document,
     RDCurve,
     RDPoint,
     bd_rate,
@@ -517,30 +517,13 @@ def run_sweep(
 
 
 @dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(_Document):
     """One evaluated scale factor and what it cost."""
 
     k: float
     curve: RDCurve
     cost: float
     encoder_invocations: int
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "cost": self.cost,
-            "encoder_invocations": self.encoder_invocations,
-            "curve": self.curve.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrialRecord":
-        return cls(
-            k=_json_field(d, "k"),
-            curve=RDCurve.from_dict(d["curve"]),
-            cost=_json_field(d, "cost"),
-            encoder_invocations=_json_field(d, "encoder_invocations", int),
-        )
 
 
 def evaluate_cost(
@@ -574,7 +557,7 @@ def evaluate_cost(
 
 
 @dataclass(frozen=True)
-class OptimizationResult:
+class OptimizationResult(_Document):
     """Per-clip outcome plus everything needed to report it.
 
     stop_reason says why the search ended: "converged" (on xtol, or on a
@@ -601,46 +584,9 @@ class OptimizationResult:
     trials: tuple[TrialRecord, ...]
     reference_curve: RDCurve
 
-    def to_dict(self) -> dict:
-        return {
-            "clip_id": self.clip_id,
-            "codec": self.codec.value,
-            "group": self.group.value,
-            "scope": self.scope.value,
-            "k_hat": self.k_hat,
-            "bd_rate": self.bd_rate,
-            "iterations": self.iterations,
-            "stop_reason": self.stop_reason,
-            "improved": self.improved,
-            "rd2_savings": self.rd2_savings,
-            "mean_savings": self.mean_savings,
-            "msssim_change_db": self.msssim_change_db,
-            "vmaf_change": self.vmaf_change,
-            "total_invocations": self.total_invocations,
-            "trials": [t.to_dict() for t in self.trials],
-            "reference_curve": self.reference_curve.to_dict(),
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "OptimizationResult":
-        return cls(
-            clip_id=_json_field(d, "clip_id", str),
-            codec=CodecId.parse(_json_field(d, "codec", str)),
-            group=FrameTypeGroup.parse(_json_field(d, "group", str)),
-            scope=LambdaScope.parse(_json_field(d, "scope", str)),
-            k_hat=_json_field(d, "k_hat"),
-            bd_rate=_json_field(d, "bd_rate"),
-            iterations=_json_field(d, "iterations", int),
-            stop_reason=_json_field(d, "stop_reason", str) if "stop_reason" in d else "unknown",
-            improved=_json_field(d, "improved", bool),
-            rd2_savings=_json_field(d, "rd2_savings"),
-            mean_savings=_json_field(d, "mean_savings"),
-            msssim_change_db=_json_field(d, "msssim_change_db"),
-            vmaf_change=_json_field(d, "vmaf_change", null=True),
-            total_invocations=_json_field(d, "total_invocations", int),
-            trials=tuple(TrialRecord.from_dict(t) for t in d["trials"]),
-            reference_curve=RDCurve.from_dict(d["reference_curve"]),
-        )
+        return super().from_dict({"stop_reason": "unknown", **d})
 
 
 def _document_text(doc: OptimizationResult | RDCurve) -> str:

@@ -397,6 +397,8 @@ class TestFieldTypesAreNotCoerced:
         "clip_id_number": _set(["clip_id"], 5),
         "codec_number": _set(["codec"], 5),
         "scope_null": _set(["scope"], None),
+        "k_nan": _set(["k"], float("nan")),
+        "k_beyond_float_range": _set(["k"], 10**400),
     }
     RESULT = {
         "iterations_fraction": _set(["iterations"], 2.9),
@@ -409,6 +411,8 @@ class TestFieldTypesAreNotCoerced:
         "trial_cost_true": _set(["trials", 1, "cost"], True),
         "trial_invocations_fraction": _set(["trials", 1, "encoder_invocations"], 4.5),
         "trial_k_string": _set(["trials", 1, "k"], "0.5"),
+        "bd_rate_nan": _set(["bd_rate"], float("nan")),
+        "k_hat_infinity": _set(["k_hat"], float("inf")),
     }
 
     @staticmethod

@@ -181,6 +181,16 @@ class TestClipManifest:
         with pytest.raises(ManifestError, match="m.json entry 1: frame_count must be an integer"):
             load_manifest(p)
 
+    @pytest.mark.parametrize("clip_id", [5, True, None])
+    def test_id_is_not_coerced(self, tmp_path, clip_id):
+        # These used to load as str() of the value: 5 as clip "5", true as "True".
+        good = {"id": "a", "path": "x", "frame_count": 7, "frame_rate": 25.0}
+        bad = {"id": clip_id, "path": "y", "frame_count": 7, "frame_rate": 25.0}
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps([good, bad]))
+        with pytest.raises(ManifestError, match="m.json entry 1: .*id must be a string"):
+            load_manifest(p)
+
     def test_integer_frame_rate_loads_as_float(self, tmp_path):
         p = tmp_path / "m.json"
         p.write_text(json.dumps([{"id": "a", "path": "x", "frame_count": 50, "frame_rate": 25}]))
@@ -235,6 +245,29 @@ class TestParseMetricReport:
     def test_missing_msssim_names_path(self):
         with pytest.raises(MetricReportError, match="pooled_metrics/float_ms_ssim/mean"):
             parse_metric_report(json.dumps({"pooled_metrics": {}}))
+
+
+    @pytest.mark.parametrize("mean", ['"0.95"', "true", "null", "[0.95]"])
+    def test_msssim_mean_must_be_a_number(self, mean):
+        # "0.95" used to load as 0.95 and true as 1.0.
+        report = f'{{"pooled_metrics": {{"float_ms_ssim": {{"mean": {mean}}}}}}}'
+        with pytest.raises(MetricReportError, match="pooled_metrics/float_ms_ssim/mean"):
+            parse_metric_report(report)
+
+    @pytest.mark.parametrize("mean", ['"91"', "true", "{}"])
+    def test_vmaf_mean_present_must_be_a_number(self, mean):
+        # "91" used to load as 91.0 and true as 1.0.
+        report = f'{{"pooled_metrics": {{"float_ms_ssim": {{"mean": 0.98}}, "vmaf": {{"mean": {mean}}}}}}}'
+        with pytest.raises(MetricReportError, match="vmaf mean is not a number"):
+            parse_metric_report(report)
+
+    def test_null_vmaf_mean_is_none(self):
+        doc = {"pooled_metrics": {"float_ms_ssim": {"mean": 0.98}, "vmaf": {"mean": None}}}
+        assert parse_metric_report(json.dumps(doc)) == (0.98, None)
+
+    def test_integral_means_load_as_floats(self):
+        doc = {"pooled_metrics": {"float_ms_ssim": {"mean": 0.98}, "vmaf": {"mean": 91}}}
+        assert repr(parse_metric_report(json.dumps(doc))) == "(0.98, 91.0)"
 
 
 class TestSyntheticModel:
@@ -323,7 +356,8 @@ class TestSyntheticModel:
 
     @pytest.mark.parametrize(
         "doc",
-        ["5", "[1.0]", "null", '{"r0": "abc"}', '{"k_star": null}', '{"c": true}', '{"noise_seed": [1]}'],
+        ["5", "[1.0]", "null", '{"r0": "abc"}', '{"k_star": null}', '{"c": true}', '{"noise_seed": [1]}',
+         '{"noise_seed": 1.0}', '{"noise_seed": true}'],
     )
     def test_from_file_not_an_object_of_numbers(self, tmp_path, doc):
         path = tmp_path / "model.json"

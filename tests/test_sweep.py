@@ -12,18 +12,21 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdtune import sweep
 from rdtune.encoder_bridge import EncodeJob, SyntheticClipModel, SyntheticEncoder, synth_encode
 from rdtune.errors import DomainError, EncodeFailure, ManifestError, SweepError
 from rdtune.lambda_model import CodecId, FrameTypeGroup, LambdaScope
-from rdtune.rd_curve import bd_quality, bd_rate, matched_qp_savings, mean_matched_savings, mean_vmaf_delta
+from rdtune.rd_curve import RDCurve, RDPoint, bd_quality, bd_rate, matched_qp_savings, mean_matched_savings, mean_vmaf_delta
 from rdtune.sweep import (
     DEFAULT_OPTIMIZER,
     OptimizationResult,
     PointCache,
     RunLedger,
     SweepConfig,
+    TrialRecord,
     cache_key,
     curves_from_ledger,
     evaluate_cost,
@@ -232,6 +235,10 @@ class TestPointCache:
             # The same record with its bitrate as a string.
             b'{"cache_key": "6ae7489995185569aa0faa64ce619cedc558ad1ba9646cf478a72b4825cf96f0", '
             b'"qp": 49, "bitrate_kbps": "364.65534989744805", "msssim": 0.9408438365824526, '
+            b'"msssim_db": 12.28, "vmaf": 41.12}',
+            # The same record with an integer bitrate beyond the float range.
+            b'{"cache_key": "6ae7489995185569aa0faa64ce619cedc558ad1ba9646cf478a72b4825cf96f0", '
+            b'"qp": 49, "bitrate_kbps": 1' + b"0" * 400 + b', "msssim": 0.9408438365824526, '
             b'"msssim_db": 12.28, "vmaf": 41.12}',
         ],
     )
@@ -990,6 +997,93 @@ def test_malformed_result_file_names_it(tmp_path, text):
     path.write_text(text, errors="surrogateescape")
     with pytest.raises(ManifestError, match="result file .*bad.json"):
         load_result(path)
+
+
+finite_floats = st.floats(-1e6, 1e6, allow_nan=False)
+positive_floats = st.floats(1e-6, 1e6)
+point_docs = st.builds(
+    RDPoint.from_db,
+    qp=st.integers(0, 63),
+    bitrate_kbps=positive_floats,
+    msssim_db=st.floats(0.01, 80.0),
+    vmaf=st.none() | st.floats(0.0, 100.0),
+)
+
+
+@st.composite
+def curve_docs(draw):
+    n = draw(st.integers(2, 6))
+    qps = draw(st.lists(st.integers(0, 63), min_size=n, max_size=n, unique=True))
+    dbs = sorted(draw(st.lists(st.floats(0.01, 80.0), min_size=n, max_size=n, unique=True)))
+    rates = sorted(draw(st.lists(positive_floats, min_size=n, max_size=n, unique=True)))
+    vmafs = draw(st.lists(st.none() | st.floats(0.0, 100.0), min_size=n, max_size=n))
+    codec = draw(st.sampled_from(CodecId))
+    return RDCurve(
+        clip_id=draw(st.text()),
+        codec=codec,
+        k=draw(positive_floats),
+        group=draw(st.sampled_from([g for g in FrameTypeGroup if g.valid_for(codec)])),
+        scope=draw(st.sampled_from(LambdaScope)),
+        points=tuple(map(RDPoint.from_db, qps, rates, dbs, vmafs)),
+    )
+
+
+trial_docs = st.builds(
+    TrialRecord, k=positive_floats, curve=curve_docs(), cost=finite_floats,
+    encoder_invocations=st.integers(0, 10**6),
+)
+result_docs = st.builds(
+    OptimizationResult,
+    clip_id=st.text(),
+    codec=st.sampled_from(CodecId),
+    group=st.sampled_from(FrameTypeGroup),
+    scope=st.sampled_from(LambdaScope),
+    k_hat=positive_floats,
+    bd_rate=finite_floats,
+    iterations=st.integers(0, 100),
+    stop_reason=st.text(),
+    improved=st.booleans(),
+    rd2_savings=finite_floats,
+    mean_savings=finite_floats,
+    msssim_change_db=finite_floats,
+    vmaf_change=st.none() | finite_floats,
+    total_invocations=st.integers(0, 10**6),
+    trials=st.lists(trial_docs, max_size=3).map(tuple),
+    reference_curve=curve_docs(),
+)
+
+
+class TestDocumentJson:
+    @settings(max_examples=60, deadline=None)
+    @given(doc=st.one_of(point_docs, curve_docs(), trial_docs, result_docs))
+    def test_round_trip(self, doc):
+        text = json.dumps(doc.to_dict())
+        loaded = type(doc).from_dict(json.loads(text))
+        assert loaded == doc
+        assert json.dumps(loaded.to_dict()) == text
+
+    def test_curve_format(self):
+        # Written out by hand, so that the generic rule is checked against
+        # something other than itself.
+        curve = RDCurve(
+            clip_id="c",
+            codec=CodecId.AV1,
+            k=2.0,
+            group=FrameTypeGroup.KF_GF_ARF,
+            scope=LambdaScope.PARTITION,
+            points=(RDPoint(39, 100.0, 0.9, 10.0), RDPoint(27, 400.0, 0.99, 20.0, 95.5)),
+        )
+        assert curve.to_dict() == {
+            "clip_id": "c",
+            "codec": "AV1",
+            "k": 2.0,
+            "group": "KF_GF_ARF",
+            "scope": "Partition",
+            "points": [
+                {"qp": 39, "bitrate_kbps": 100.0, "msssim": 0.9, "msssim_db": 10.0, "vmaf": None},
+                {"qp": 27, "bitrate_kbps": 400.0, "msssim": 0.99, "msssim_db": 20.0, "vmaf": 95.5},
+            ],
+        }
 
 
 class ClipSet(SyntheticEncoder):
