@@ -64,7 +64,6 @@ from .sweep import (
     RunLedger,
     SweepConfig,
     TrialRecord,
-    cache_key,
     curves_from_ledger,
     evaluate_cost,
     load_result,

@@ -62,8 +62,14 @@ _MIN_POINTS = 4
 def _is_json_number(value, kind: type = float) -> bool:
     """True for a JSON number of the given kind: int for an integer, float
     for any number.  JSON true and false load as bool, a subclass of int,
-    and are not numbers."""
-    return isinstance(value, int if kind is int else (int, float)) and not isinstance(value, bool)
+    and are not numbers; nor is an integer beyond the float range, which
+    float() cannot convert.  NaN and ±Infinity are: callers refuse them
+    with their own range checks."""
+    if isinstance(value, bool):
+        return False
+    if isinstance(value, int):
+        return abs(value) <= sys.float_info.max
+    return kind is float and isinstance(value, float)
 
 
 _JSON_KINDS = {str: "a string", bool: "true or false", int: "an integer", float: "a number"}
@@ -80,7 +86,7 @@ def _json_field(d: dict, name: str, kind: type = float, null: bool = False):
     if not (_is_json_number(value, kind) if kind in (int, float) else isinstance(value, kind)):
         what = _JSON_KINDS[kind] + (" or null" if null else "")
         raise CurveDataError(f"{name} must be {what}, got {value!r}")
-    if kind is float and not abs(value) <= sys.float_info.max:  # NaN, ±Infinity, 10**400
+    if kind is float and not abs(value) <= sys.float_info.max:  # NaN, ±Infinity
         raise CurveDataError(f"{name} must be finite, got {value!r}")
     return float(value) if kind is float else value
 

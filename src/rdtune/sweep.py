@@ -3,11 +3,13 @@ per-clip search for the best scale factor.
 
 Cost of one k trial is the BD-Rate of its curve against the k=1 reference
 curve, so each trial costs one full QP-ladder sweep (N encodes).  Every
-completed encode (fresh or cached) is appended to a JSON Lines run ledger,
-which is sufficient to recompute every derived statistic and is the one
-persistent store of RD points: PointCache indexes it by content-addressed
-cache key, so a warm re-run, or another process sharing the cache dir,
-re-encodes nothing.
+encode, fresh or cached, completed or failed, is appended to a JSON Lines
+run ledger, which is sufficient to recompute every derived statistic and is
+the one persistent store of RD points and of failed encodes: PointCache
+indexes it by content-addressed cache key, so a warm re-run, or another
+process sharing the cache dir, re-encodes nothing but the encodes whose
+child process failed.  A deterministic failure is replayed from its record
+as the same error, so a warm re-run takes the same path through the search.
 
 A sweep dispatches its cache misses in one of two ways, chosen by the
 backend's in_process attribute.  An in-process backend's encodes hold the
@@ -56,12 +58,14 @@ from pathlib import Path
 from queue import SimpleQueue
 from typing import Iterable, Iterator, Protocol
 
+from . import errors
 from .errors import EncodeFailure, RdtuneError, SweepError
 from .encoder_bridge import EncodeJob, _read_json
 from .lambda_model import CodecId, FrameTypeGroup, LambdaScope, validate_qp
 from .rd_curve import (
     _MIN_POINTS,
     _Document,
+    _json_field,
     RDCurve,
     RDPoint,
     bd_rate,
@@ -171,9 +175,16 @@ class SweepConfig:
 _record_json = json.JSONEncoder(sort_keys=True).encode
 
 
+# The last line of the ledger is read back from its end in chunks of this
+# many bytes, so ending it on a newline costs the length of that line, not
+# of the file.
+_TAIL_CHUNK = 1 << 16
+
+
 class RunLedger:
-    """Append-only JSON Lines record of every completed encode, and the one
-    persistent store of RD points (PointCache is its in-memory index).
+    """Append-only JSON Lines record of every encode, completed or failed,
+    and the one persistent store of RD points and failed encodes (PointCache
+    is its in-memory index).
 
     The file is opened once with O_APPEND, and each append() writes all of
     its records with one os.write while an exclusive flock is held, so
@@ -218,10 +229,18 @@ class RunLedger:
         end = os.fstat(self._fd).st_size
         if end == 0 or os.pread(self._fd, 1, end - 1) == b"\n":
             return end
-        data = os.pread(self._fd, end, 0)
-        start = data.rfind(b"\n") + 1
+        start, chunks = end, []
+        while start > 0:  # back to the newline before the last line
+            size = min(_TAIL_CHUNK, start)
+            start -= size
+            chunk = os.pread(self._fd, size, start)
+            cut = chunk.rfind(b"\n") + 1
+            chunks.append(chunk[cut:])
+            if cut:
+                start += cut
+                break
         try:
-            json.loads(data[start:])
+            json.loads(b"".join(reversed(chunks)))
         except ValueError:
             os.ftruncate(self._fd, start)
             return start
@@ -280,20 +299,36 @@ class RunLedger:
         return out
 
 
-class PointCache:
-    """In-memory index cache_key -> RDPoint over a RunLedger.
+# Failures replayed from the ledger, by class name: every RdtuneError but
+# EncodeFailure, whose failed child process may succeed on another try.
+_REPLAYED = {
+    name: cls
+    for name, cls in vars(errors).items()
+    if isinstance(cls, type) and issubclass(cls, RdtuneError) and cls is not EncodeFailure
+}
 
-    put() writes to memory only: the ledger record the sweep appends after
-    it is what persists the point.  On a miss, get() first indexes the
-    complete lines appended to the ledger since its last read, by this or
-    any other process, then looks again.  A line that does not parse or
-    does not make a valid RDPoint is skipped, so its point is a miss and is
-    re-encoded.  With no ledger (or one with no path) it is memory-only.
+
+class PointCache:
+    """In-memory index cache_key -> RDPoint or replayed failure, over a
+    RunLedger.
+
+    put() and put_failure() write to memory only: the ledger record the
+    sweep appends after them is what persists the outcome.  On a miss,
+    get() first indexes the complete lines appended to the ledger since its
+    last read, by this or any other process, then looks again.  A key with
+    an "ok" record is served its point.  A key with none, whose last
+    "failed" record is a deterministic failure (see _REPLAYED), makes get()
+    raise that error again, with the same message: the encode is not run.
+    A key whose last failure was an EncodeFailure is a miss.  A line that
+    does not parse, is not a ledger record or does not make a valid RDPoint
+    is skipped, so its point is a miss and is re-encoded.  With no ledger
+    (or one with no path) it is memory-only.
     """
 
     def __init__(self, ledger: RunLedger | None = None):
         self.ledger = ledger if ledger is not None else RunLedger(None)
         self._mem: dict[str, RDPoint] = {}
+        self._failed: dict[str, tuple[type, str]] = {}
         self._read_to = 0
         self._lock = threading.Lock()
 
@@ -305,16 +340,37 @@ class PointCache:
                 self._read_to += len(data)
                 self._index(data)
                 point = self._mem.get(key)
+                if point is None and key in self._failed:
+                    error, message = self._failed[key]
+                    raise error(message)
             return point
 
     def _index(self, data: bytes) -> None:
         for line in data.splitlines():
             try:
                 rec = json.loads(line)
-                if rec["cache_key"] not in self._mem:
-                    self._mem[rec["cache_key"]] = RDPoint.from_dict(rec)
+                key = rec["cache_key"]  # TypeError unless a JSON object
+                status = rec.get("status", "ok")  # records older than status are ok
+                if status == "ok":
+                    if key not in self._mem:
+                        self._mem[key] = RDPoint.from_dict(rec)
+                elif status == "failed":
+                    self._note_failure(
+                        key, _json_field(rec, "error", str), _json_field(rec, "message", str))
             except (ValueError, KeyError, TypeError):
                 continue  # unreadable: a miss, re-encoded and appended anew
+
+    def _note_failure(self, key: str, error: str, message: str) -> None:
+        """Index a failed encode of key, whose error class is named error:
+        the last failure of a key decides whether get() replays it."""
+        if error in _REPLAYED:
+            self._failed[key] = (_REPLAYED[error], message)
+        else:
+            self._failed.pop(key, None)
+
+    def put_failure(self, key: str, exc: Exception) -> None:
+        with self._lock:
+            self._note_failure(key, type(exc).__name__, str(exc))
 
     def put(self, key: str, point: RDPoint) -> None:
         with self._lock:
@@ -371,8 +427,22 @@ def cache_key(job: EncodeJob, template_digest: str, clip_digest: str) -> str:
 
 
 def _ledger_record(
-    key: str, job: EncodeJob, point: RDPoint, seconds: float, cached: bool
+    key: str,
+    job: EncodeJob,
+    digests: dict[str, str],
+    outcome: RDPoint | Exception,
+    seconds: float,
+    cached: bool,
 ) -> dict:
+    """The ledger line of one encode: its job and digests, then its point
+    (status "ok") or the error it failed with (status "failed")."""
+    if isinstance(outcome, RDPoint):
+        result = {"status": "ok", **outcome.to_dict()}
+    else:
+        result = {"status": "failed", "qp": job.qp, "error": type(outcome).__name__,
+                  "message": str(outcome)}
+        if isinstance(outcome, EncodeFailure):
+            result["stderr_tail"] = outcome.captured_output
     return {
         "timestamp": time.time(),
         "cache_key": key,
@@ -381,7 +451,8 @@ def _ledger_record(
         "k": job.k,
         "group": job.group.value,
         "scope": job.scope.value,
-        **point.to_dict(),
+        **digests,
+        **result,
         "invocation_seconds": seconds,
         "cached": cached,
     }
@@ -407,20 +478,26 @@ def _sweep(
     `pool`, or in ladder order on this thread when it is None; returns
     (curve, fresh_encodes).  A failed sweep raises SweepError, whose
     fresh_encodes counts the encodes it dispatched."""
-    template_digest = backend.template_digest()
-    clip_digest = backend.clip_digest(clip_id)
+    digests = {"template_digest": backend.template_digest(),
+               "clip_digest": backend.clip_digest(clip_id)}
     work_dir = None if config.cache_dir is None else config.cache_dir / "work"
 
     points: dict[int, RDPoint] = {}
+    failures: list[tuple[int, Exception]] = []
     hits: list[dict] = []
     pending: list[tuple[int, EncodeJob, str]] = []
     for qp in config.qp_ladder:
         job = EncodeJob(clip_id, config.codec, qp, k, config.group, config.scope, work_dir)
-        key = cache_key(job, template_digest, clip_digest)
-        point = cache.get(key)
+        key = cache_key(job, **digests)
+        try:
+            point = cache.get(key)
+        except RdtuneError as exc:  # a deterministic failure, replayed
+            failures.append((qp, exc))
+            hits.append(_ledger_record(key, job, digests, exc, 0.0, cached=True))
+            continue
         if point is not None:
             points[qp] = point
-            hits.append(_ledger_record(key, job, point, 0.0, cached=True))
+            hits.append(_ledger_record(key, job, digests, point, 0.0, cached=True))
         else:
             pending.append((qp, job, key))
 
@@ -428,27 +505,33 @@ def _sweep(
         if records:
             cache._skip(cache.ledger.append(*records))
 
-    def run_one(job: EncodeJob) -> tuple[RDPoint, float]:
+    def run_one(job: EncodeJob) -> tuple[RDPoint | Exception, float]:
+        """The encode's point, or the error it failed with, and its seconds."""
         start = time.perf_counter()
         try:
-            point = backend.measure(job)
-        except EncodeFailure:  # a failed child process may succeed again
-            point = backend.measure(job)
-        return point, time.perf_counter() - start
+            try:
+                outcome = backend.measure(job)
+            except EncodeFailure:  # a failed child process may succeed again
+                outcome = backend.measure(job)
+        except Exception as exc:
+            outcome = exc
+        return outcome, time.perf_counter() - start
 
-    failures: list[tuple[int, Exception]] = []
-
-    def settle(qp: int, job: EncodeJob, key: str, outcome) -> list[dict]:
-        """Index one finished encode; outcome() returns run_one's result or
-        raises its error.  Returns the records to write."""
+    def settle(qp: int, job: EncodeJob, key: str, result) -> list[dict]:
+        """Index one finished encode; result() returns run_one's result, or
+        raises when the encode never ran.  Returns the records to write."""
         try:
-            point, seconds = outcome()
-        except Exception as exc:  # partial results stay cached
+            outcome, seconds = result()
+        except Exception as exc:  # cancelled with its pool: nothing to record
             failures.append((qp, exc))
             return []
-        cache.put(key, point)
-        points[qp] = point
-        return [_ledger_record(key, job, point, seconds, cached=False)]
+        if isinstance(outcome, RDPoint):
+            cache.put(key, outcome)
+            points[qp] = outcome
+        else:  # recorded, and replayed from memory when deterministic
+            failures.append((qp, outcome))
+            cache.put_failure(key, outcome)
+        return [_ledger_record(key, job, digests, outcome, seconds, cached=False)]
 
     if pool is None:
         records = hits
@@ -746,13 +829,18 @@ def optimize_clips(
 def curves_from_ledger(records: list[dict]) -> list[RDCurve]:
     """Rebuild all complete RD curves recorded in a ledger.
 
-    Records are deduplicated by cache_key (last wins), then grouped by
-    (clip, codec, k quantized to 1e-6, group, scope); a curve takes the k
+    Failed records are skipped; a record without status (written before
+    the field existed) is a point.  Records are deduplicated by cache_key
+    (last wins), then grouped by (clip, codec, k quantized to 1e-6, group,
+    scope, template digest, clip digest), so two encoder builds, or two
+    clip contents, under one clip id make two curves; a curve takes the k
     of its group's first record.
     """
     latest: dict[str, dict] = {}
     order: list[str] = []
     for rec in records:
+        if rec.get("status", "ok") != "ok":
+            continue
         key = rec["cache_key"]
         if key not in latest:
             order.append(key)
@@ -761,12 +849,13 @@ def curves_from_ledger(records: list[dict]) -> list[RDCurve]:
     groups: dict[tuple, tuple[float, dict[int, RDPoint]]] = {}
     for key in order:
         rec = latest[key]
-        ident = (rec["clip"], rec["codec"], _quantize_k(rec["k"]), rec["group"], rec["scope"])
+        ident = (rec["clip"], rec["codec"], _quantize_k(rec["k"]), rec["group"], rec["scope"],
+                 rec.get("template_digest"), rec.get("clip_digest"))
         point = RDPoint.from_dict(rec)
         groups.setdefault(ident, (float(rec["k"]), {}))[1][point.qp] = point
 
     curves = []
-    for (clip, codec, _kq, group, scope), (k, by_qp) in groups.items():
+    for (clip, codec, _kq, group, scope, *_digests), (k, by_qp) in groups.items():
         if len(by_qp) < 2:
             continue
         curves.append(

@@ -87,6 +87,27 @@ class TestOptimizeCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: optimize: model file ")
 
+    # An integer beyond the float range is no number: float() of it would
+    # raise OverflowError, which ended the command in a traceback.
+    BEYOND_FLOAT_RANGE = "1" + "0" * 400
+
+    def test_model_number_beyond_float_range_is_one_error_line(self, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        model.write_text('{"r0": %s}' % self.BEYOND_FLOAT_RANGE)
+        assert cli_dispatch(["optimize", "--synthetic", str(model)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: optimize: model file ") and "field r0" in captured.err
+
+    def test_manifest_frame_rate_beyond_float_range_is_one_error_line(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text('[{"id": "a", "path": "a.yuv", "frame_count": 10, "frame_rate": %s}]'
+                            % self.BEYOND_FLOAT_RANGE)
+        assert cli_dispatch(["optimize", "--manifest", str(manifest)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: optimize: manifest {manifest} entry 0: ")
+
     def test_stdout_output(self, tmp_path, capsys):
         assert cli_dispatch([
             "optimize", "--synthetic", "default", "--cache-dir", str(tmp_path / "c"),

@@ -28,7 +28,7 @@ from rdtune.encoder_bridge import (
     synth_encode,
 )
 from rdtune.lambda_model import CodecId, FrameTypeGroup, LambdaScope
-from rdtune.sweep import SweepConfig, SweepError, run_sweep
+from rdtune.sweep import RunLedger, SweepConfig, SweepError, run_sweep
 
 import oracles
 
@@ -473,7 +473,9 @@ class TestEncodeMeasure:
         with pytest.raises(SweepError, match="vmaf must be finite"):
             run_sweep(clip.id, 1.0, config, ExternalEncoder(templates, {clip.id: clip}))
         assert len(log.read_text().splitlines()) == 1
-        assert (tmp_path / "cache" / "ledger.jsonl").read_bytes() == b""
+        [record] = RunLedger.load(tmp_path / "cache" / "ledger.jsonl")
+        assert (record["status"], record["error"], record["qp"]) == ("failed", "CurveDataError", 39)
+        assert "vmaf must be finite" in record["message"]
 
     def test_missing_input_clip(self, stub_tools, tmp_path):
         enc, met, clip, log = stub_tools

@@ -3,13 +3,16 @@ import json
 import math
 import multiprocessing
 import os
+import random
 import shutil
 import sys
+import tempfile
 import threading
 import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -549,7 +552,10 @@ class TestRunSweep:
         with pytest.raises(SweepError, match=r"qp=49, k=1\.3"):
             run_sweep("clip", 1.3, config, backend)
         assert backend.invocations == 5 + 1
-        assert len(RunLedger.load(tmp_path / "ledger.jsonl")) == 4
+        # The four points, and the failed encode as a failed record.
+        records = RunLedger.load(tmp_path / "ledger.jsonl")
+        assert sorted((r["qp"], r["status"]) for r in records) == [
+            (27, "ok"), (39, "ok"), (49, "failed"), (59, "ok"), (63, "ok")]
         # Partials are cached: the retry only dispatches the failed point.
         retry_backend = synthetic_backend()
         run_sweep("clip", 1.3, config, retry_backend)
@@ -580,14 +586,14 @@ class TestRunSweepPooled(PooledDispatch, TestRunSweep):
 class TestLedgerBatching:
     @pytest.mark.parametrize(
         "in_process, cold, warm, failed",
-        [(True, [5], [5], [4]), (False, [1] * 5, [5], [1] * 4)],
+        [(True, [5], [5], [5]), (False, [1] * 5, [5], [1] * 5)],
         ids=["inline", "pooled"],
     )
     def test_records_per_append(self, tmp_path, monkeypatch, in_process, cold, warm, failed):
         # Inline, a sweep's records go to the ledger in one append: hits,
         # fresh points, and the partials of a failed sweep before it
-        # raises.  Pooled, the hits go in one append and each fresh point
-        # in its own.
+        # raises, with its failed encode's record.  Pooled, the hits go in
+        # one append and each finished encode in its own.
         appends = []
         append = RunLedger.append
 
@@ -610,7 +616,7 @@ class TestLedgerBatching:
             else:
                 run_sweep("clip", k, config, backend(synthetic_backend()))
             assert appends == expected
-        assert len(RunLedger.load(tmp_path / "ledger.jsonl")) == 5 + 5 + 4
+        assert len(RunLedger.load(tmp_path / "ledger.jsonl")) == 5 + 5 + 5
 
     def test_pooled_encode_is_written_when_it_completes(self, tmp_path):
         # A backend over child processes may take minutes per encode: each
@@ -745,6 +751,185 @@ class TestRunLedger:
         RunLedger(path).append(real, nested)
         expected = "".join(json.dumps(r, sort_keys=True) + "\n" for r in (real, nested))
         assert path.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("lines", [0, 12_000], ids=["alone", "after_4MB"])
+    @pytest.mark.parametrize(
+        "tail, kept",
+        [
+            (b'{"cache_key": "t", "q', False),
+            (b'{"cache_key": "t", "pad": "' + b"y" * 300_000, False),  # longer than a chunk
+            (b'{"cache_key": "u"}', True),
+            (b'{"cache_key": "u", "pad": "' + b"y" * 300_000 + b'"}', True),
+            (b"", True),
+        ],
+        ids=["torn", "torn_long", "parses", "parses_long", "intact"],
+    )
+    def test_tail_is_read_back_from_the_end(self, tmp_path, monkeypatch, lines, tail, kept):
+        # Opening ends the file on a newline as it always did: a torn last
+        # line is cut off, one that parses is ended.  It reads the last
+        # line back from the end in bounded chunks, not the whole file.
+        body = b"".join(
+            json.dumps({"cache_key": f"k{i}", "pad": "x" * 320}).encode() + b"\n" for i in range(lines)
+        )
+        path = tmp_path / "ledger.jsonl"
+        path.write_bytes(body + tail)
+        read = []
+        pread = os.pread
+
+        def counting(fd, size, offset):
+            read.append(size)
+            return pread(fd, size, offset)
+
+        monkeypatch.setattr(sweep.os, "pread", counting)
+        RunLedger(path)
+        assert path.read_bytes() == (body + tail + b"\n" if kept and tail else body)
+        assert sum(read) <= 1 + len(tail) + sweep._TAIL_CHUNK
+
+
+class TestFailureRecords:
+    """The ledger as a negative cache: failed encodes are recorded, and a
+    deterministic one is replayed with no encode."""
+
+    HARSH = {"c": 8.0, "k_star": 2.5}  # k=0.5 underflows the model at qp 49, 59, 63
+
+    def failed_sweep(self, config, backend, k=0.5):
+        with pytest.raises(SweepError) as info:
+            run_sweep("clip", k, config, backend)
+        return str(info.value)
+
+    def test_failed_record_fields(self, tmp_path):
+        backend = synthetic_backend(**self.HARSH)
+        self.failed_sweep(av1_config(cache_dir=tmp_path), backend)
+        records = RunLedger.load(tmp_path / "ledger.jsonl")
+        assert [(r["qp"], r["status"]) for r in records] == [
+            (27, "ok"), (39, "ok"), (49, "failed"), (59, "failed"), (63, "failed")]
+        for rec in records:
+            assert rec["template_digest"] == backend.template_digest()
+            assert rec["clip_digest"] == backend.clip_digest("clip")
+            assert rec["cached"] is False and rec["invocation_seconds"] > 0.0
+        failed = records[2]
+        assert failed["error"] == "DomainError"
+        assert failed["message"].startswith("quality model underflow at qp=49, k=0.5")
+        assert "stderr_tail" not in failed
+        assert not {"bitrate_kbps", "msssim", "msssim_db", "vmaf"} & set(failed)
+
+    @pytest.mark.parametrize("store", ["kept", "reopened"])
+    def test_deterministic_failure_is_replayed_without_an_encode(self, tmp_path, monkeypatch, store):
+        # In the process that recorded it (the kept store: its own appends
+        # are never read back), and in a new one (read from the ledger).
+        config = av1_config(cache_dir=tmp_path)
+        cold_message = self.failed_sweep(config, synthetic_backend(**self.HARSH))
+        path = tmp_path / "ledger.jsonl"
+        size = path.stat().st_size
+        if store == "reopened":
+            monkeypatch.setattr(sweep, "_open_store", None)
+        backend = synthetic_backend(**self.HARSH)
+        with pytest.raises(SweepError) as info:
+            run_sweep("clip", 0.5, config, backend)
+        assert backend.invocations == 0
+        assert str(info.value) == cold_message
+        assert isinstance(info.value.__cause__, DomainError)
+        assert info.value.fresh_encodes == 0
+        # The replay is logged like a cache hit, never as an encode.
+        warm = [json.loads(line) for line in path.read_bytes()[size:].splitlines()]
+        assert [(r["status"], r["cached"]) for r in warm] == [("ok", True)] * 2 + [("failed", True)] * 3
+
+    @pytest.mark.parametrize("store", ["kept", "reopened"])
+    def test_encode_failure_is_recorded_and_encoded_again(self, tmp_path, monkeypatch, store):
+        class Crashing(FlakyBackend):
+            def fail(self, message):
+                super().fail(message, "frame 1\nsegmentation fault")
+
+        config = av1_config(cache_dir=tmp_path)
+        self.failed_sweep(config, Crashing(SyntheticClipModel(), "clip", fail_qp=49, failures=2), k=1.3)
+        [failed] = [r for r in RunLedger.load(tmp_path / "ledger.jsonl") if r["status"] == "failed"]
+        assert (failed["qp"], failed["error"]) == (49, "EncodeFailure")
+        assert failed["message"] == "injected encode failure"
+        assert failed["stderr_tail"] == "frame 1\nsegmentation fault"
+        if store == "reopened":
+            monkeypatch.setattr(sweep, "_open_store", None)
+        backend = synthetic_backend()
+        run_sweep("clip", 1.3, config, backend)
+        assert backend.invocations == 1
+        last = RunLedger.load(tmp_path / "ledger.jsonl")[-1]
+        assert (last["qp"], last["status"], last["cached"]) == (49, "ok", False)
+
+    def rewrite(self, path, edit):
+        """The ledger with each record passed through edit (None drops it)."""
+        records = [edit(r) for r in RunLedger.load(path)]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records if r is not None))
+
+    @pytest.mark.parametrize(
+        "change, replayed",
+        [
+            ({}, True),
+            ({"error": "EncodeFailure"}, False),  # child failures stay retryable
+            ({"error": "OSError"}, False),  # not an RdtuneError
+            ({"error": "NoSuchError"}, False),
+            ({"error": None}, False),  # a damaged failed record is a miss
+            ({"error": ["DomainError"]}, False),
+            ({"message": 5}, False),
+            ({"message": None}, False),
+            ({"status": "lost"}, False),
+        ],
+    )
+    def test_which_failed_records_are_replayed(self, tmp_path, change, replayed):
+        config = av1_config(cache_dir=tmp_path)
+        self.failed_sweep(config, synthetic_backend(**self.HARSH))
+        path = tmp_path / "ledger.jsonl"
+        self.rewrite(path, lambda r: {**r, **change} if r["status"] == "failed" else r)
+        backend = synthetic_backend(**self.HARSH)
+        with pytest.raises(SweepError, match="qp=49"):
+            run_sweep("clip", 0.5, config, backend, cache=PointCache(RunLedger(path)))
+        assert backend.invocations == (0 if replayed else 3)
+
+    def test_failed_record_is_never_served_as_a_point(self, tmp_path):
+        # A failed record with every point field (and a stale error) under
+        # the key of a good point is not that point.
+        config = av1_config(cache_dir=tmp_path)
+        cold = run_sweep("clip", 1.0, config, synthetic_backend())
+        path = tmp_path / "ledger.jsonl"
+        self.rewrite(path, lambda r: {**r, "status": "failed", "error": "EncodeFailure", "message": ""})
+        backend = synthetic_backend()
+        assert run_sweep("clip", 1.0, config, backend, cache=PointCache(RunLedger(path))) == cold
+        assert backend.invocations == 5
+
+    def test_ok_record_wins_and_last_failure_decides(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        point = RDPoint.from_score(qp=39, bitrate_kbps=100.0, msssim=0.9)
+        ok = {"cache_key": "good", "status": "ok", **point.to_dict()}
+        RunLedger(path).append(
+            {"cache_key": "good", "status": "failed", "error": "DomainError", "message": "m"},
+            ok,
+            {"cache_key": "good", "status": "failed", "error": "DomainError", "message": "m"},
+            {"cache_key": "retry", "status": "failed", "error": "DomainError", "message": "m"},
+            {"cache_key": "retry", "status": "failed", "error": "EncodeFailure", "message": "m"},
+            {"cache_key": "replay", "status": "failed", "error": "EncodeFailure", "message": "m"},
+            {"cache_key": "replay", "status": "failed", "error": "OverlapError", "message": "gone"},
+        )
+        cache = PointCache(RunLedger(path))
+        assert cache.get("good") == point
+        assert cache.get("retry") is None
+        with pytest.raises(sweep.errors.OverlapError, match="^gone$"):
+            cache.get("replay")
+
+    def test_lines_that_are_not_records_are_misses(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        path.write_bytes(b'[]\n"failed"\n5\nnull\n{"status": "failed"}\n[{"cache_key": "a"}]\n')
+        cache = PointCache(RunLedger(path))
+        assert cache.get("a") is None
+
+    def test_records_without_status_or_digests_load_as_points(self, tmp_path):
+        # Ledgers written before these fields existed.
+        config = av1_config(cache_dir=tmp_path)
+        cold = run_sweep("clip", 1.0, config, synthetic_backend())
+        path = tmp_path / "ledger.jsonl"
+        old = ("status", "template_digest", "clip_digest")
+        self.rewrite(path, lambda r: {f: v for f, v in r.items() if f not in old})
+        backend = synthetic_backend()
+        assert run_sweep("clip", 1.0, config, backend, cache=PointCache(RunLedger(path))) == cold
+        assert backend.invocations == 0
+        assert curves_from_ledger(RunLedger.load(path)) == [cold]
 
 
 class TestEvaluateCost:
@@ -1325,3 +1510,149 @@ class TestLedgerReplay:
         curves = curves_from_ledger(records)
         assert len(curves) == 1
         assert len(curves[0].points) == 5
+
+    def test_two_builds_under_one_clip_id_make_two_curves(self, tmp_path):
+        class Build(SyntheticEncoder):
+            def __init__(self, build, **model_kwargs):
+                super().__init__(SyntheticClipModel(**model_kwargs), "clip")
+                self.build = build
+
+            def template_digest(self):
+                return self.build
+
+        config = av1_config(cache_dir=tmp_path)
+        curves = [run_sweep("clip", 1.0, config, Build(b, r0=r0)) for b, r0 in (("b1", 30000.0), ("b2", 40000.0))]
+        assert curves_from_ledger(RunLedger.load(tmp_path / "ledger.jsonl")) == curves
+
+    def test_failed_records_change_no_curve(self, tmp_path):
+        optimize_clip("clip", av1_config(cache_dir=tmp_path), synthetic_backend(c=4.0, k_star=2.5))
+        records = RunLedger.load(tmp_path / "ledger.jsonl")
+        ok = [r for r in records if r["status"] == "ok"]
+        assert len(ok) < len(records)
+        assert curves_from_ledger(records) == curves_from_ledger(ok)
+
+
+class InjectedFaults(SyntheticEncoder):
+    """Fails the first faults(qp, k) attempts at each (qp, k) with an
+    EncodeFailure.  The count is drawn from the fault seed and the job
+    alone, and attempts are counted per backend, so a cold and a warm
+    backend fail alike: one failure is recovered by the sweep's retry, two
+    fail the encode."""
+
+    def __init__(self, model, fault_seed, once, twice):
+        super().__init__(model, "clip")
+        self.rule = (fault_seed, once, twice)
+        self.attempts: dict[tuple, int] = {}
+
+    def measure(self, job):
+        at = (job.qp, sweep._quantize_k(job.k))
+        self.attempts[at] = self.attempts.get(at, 0) + 1
+        seed, once, twice = self.rule
+        u = random.Random(f"{seed}:{at}").random()
+        if self.attempts[at] <= (2 if u < twice else 1 if u < twice + once else 0):
+            with self._count_lock:
+                self.invocations += 1
+            raise EncodeFailure("injected failure", "encoder stderr")
+        return super().measure(job)
+
+
+def _search(config, backend):
+    """optimize_clip's result, or the message of the error it raised (a
+    failed reference sweep)."""
+    try:
+        return optimize_clip("clip", config, backend)
+    except SweepError as exc:
+        return str(exc)
+
+
+def _without_invocations(result: OptimizationResult) -> dict:
+    doc = result.to_dict()
+    doc["total_invocations"] = 0
+    for trial in doc["trials"]:
+        trial["encoder_invocations"] = 0
+    return doc
+
+
+HARSH_GRID = [(c, k) for c in (0.8, 2.0, 4.0, 8.0) for k in (2.5, 6.0, 10.0)]
+
+
+class TestWarmRerun:
+    """A warm re-run on the cache dir of a cold one encodes nothing but what
+    the cold run could not keep, and reports the same."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        model=st.one_of(
+            st.just({"gamma": 0.01, "k_star": 1.0}),  # calibrated
+            st.fixed_dictionaries({"c": st.floats(0.5, 8.0), "k_star": st.floats(1.0, 10.0)}),
+        ),
+        noise_seed=st.sampled_from([0, 17]),
+        ladder=st.lists(st.integers(20, 63), min_size=4, max_size=7, unique=True).map(
+            lambda qps: tuple(sorted(qps))),
+        faults=st.tuples(st.integers(0, 2**16), st.floats(0.0, 0.3), st.floats(0.0, 0.1)),
+        damaged_line=st.integers(0, 10**6),
+        damage=st.sampled_from([b"torn", b"[]"]),
+    )
+    def test_guarantees_hold_under_faults(self, model, noise_seed, ladder, faults, damaged_line, damage):
+        with tempfile.TemporaryDirectory() as tmp:
+            config = av1_config(cache_dir=Path(tmp), qp_ladder=ladder)
+            params = SyntheticClipModel(**model, noise_seed=noise_seed)
+            cold = _search(config, InjectedFaults(params, *faults))
+
+            # Damage one line, in a new file, as a new process finds it: the
+            # store kept open over the old file is not reused.
+            path = Path(tmp) / "ledger.jsonl"
+            records = RunLedger.load(path)
+            lines = path.read_bytes().splitlines(keepends=True)
+            at = damaged_line % len(lines)
+            lines[at] = lines[at][: len(lines[at]) // 2] + b"\n" if damage == b"torn" else damage + b"\n"
+            (Path(tmp) / "next").write_bytes(b"".join(lines))
+            os.replace(Path(tmp) / "next", path)
+            size = path.stat().st_size
+
+            warm = _search(config, InjectedFaults(params, *faults))
+
+            appended = [json.loads(line) for line in path.read_bytes()[size:].splitlines()]
+            warm_encoded = {r["cache_key"] for r in appended if not r["cached"]}
+            child_failures = {r["cache_key"] for r in records
+                              if r["status"] == "failed" and r["error"] == "EncodeFailure"}
+            assert child_failures <= warm_encoded <= child_failures | {records[at]["cache_key"]}
+            if isinstance(cold, str):  # the reference sweep failed, on both runs
+                assert warm == cold
+                return
+            assert cold.bd_rate <= 0.0
+            best = min(cold.trials, key=lambda t: (t.cost, abs(math.log(t.k))))
+            assert cold.bd_rate == min(t.cost for t in cold.trials)
+            assert cold.k_hat == (best.k if cold.improved else 1.0)
+            assert _without_invocations(warm) == _without_invocations(cold)
+            if noise_seed == 0:  # every trial holds the model's own points
+                for trial in cold.trials:
+                    expected_db, expected_log_rate = oracles.synth_arrays(trial.k, ladder, **model)
+                    db = sorted(p.msssim_db for p in trial.curve.points)
+                    log_rate = [math.log10(p.bitrate_kbps)
+                                for p in sorted(trial.curve.points, key=lambda p: p.msssim_db)]
+                    assert db == pytest.approx(list(expected_db), abs=1e-9)
+                    assert log_rate == pytest.approx(list(expected_log_rate), abs=1e-12)
+
+    @pytest.mark.parametrize("store", ["kept", "reopened"])
+    def test_harsh_grid_warm_rerun_makes_no_encode(self, tmp_path, monkeypatch, store):
+        # Six of these clips end on a probe that underflows the quality
+        # model; its failed encodes are replayed from the ledger.
+        config = av1_config(cache_dir=tmp_path)
+
+        def run():
+            backends = [synthetic_backend(f"harsh_c{c:g}_k{k:g}", c=c, k_star=k) for c, k in HARSH_GRID]
+            return [optimize_clip(b.clip_id, config, b) for b in backends], backends
+
+        cold, _ = run()
+        assert sum(r.stop_reason == "failed_probe" for r in cold) >= 6
+        path = tmp_path / "ledger.jsonl"
+        size = path.stat().st_size
+        if store == "reopened":
+            monkeypatch.setattr(sweep, "_open_store", None)
+        warm, backends = run()
+        assert [b.invocations for b in backends] == [0] * len(HARSH_GRID)
+        assert [r.total_invocations for r in warm] == [0] * len(HARSH_GRID)
+        assert [_without_invocations(r) for r in warm] == [_without_invocations(r) for r in cold]
+        appended = [json.loads(line) for line in path.read_bytes()[size:].splitlines()]
+        assert appended and all(r["cached"] for r in appended)
