@@ -40,7 +40,6 @@ from .rd_curve import (
 from .scalar_opt import (
     Bracket,
     OptimizerConfig,
-    OptimizerTrace,
     bracket_minimum,
     brent_minimize,
 )

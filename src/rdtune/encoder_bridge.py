@@ -39,6 +39,7 @@ from .lambda_model import CodecId, FrameTypeGroup, LambdaScope, validate_qp
 from .rd_curve import (
     _JSON_KINDS,
     RDPoint,
+    _brief,
     _field_types,
     _is_json_number,
     _json_field,
@@ -118,7 +119,7 @@ def load_manifest(path: Path | str) -> dict[str, ClipInfo]:
             if not (_is_json_number(count, int) and _is_json_number(rate)):
                 raise ManifestError(
                     f"manifest {path} entry {i}: frame_count must be an integer and "
-                    f"frame_rate a number, got {count!r} and {rate!r}"
+                    f"frame_rate a number, got {_brief(count)} and {_brief(rate)}"
                 )
             clip = ClipInfo(id=_json_field(entry, "id", str), path=Path(entry["path"]),
                             frame_count=count, frame_rate=float(rate))
@@ -369,7 +370,7 @@ class SyntheticClipModel:
             # Out-of-range numbers, NaN included, are __post_init__'s DomainError.
             if not _is_json_number(value, kinds[name]):
                 what = _JSON_KINDS[kinds[name]]
-                raise ManifestError(f"model file {path}: field {name} must be {what}, got {value!r}")
+                raise ManifestError(f"model file {path}: field {name} must be {what}, got {_brief(value)}")
         return cls(**raw)
 
 

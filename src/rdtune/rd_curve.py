@@ -75,6 +75,13 @@ def _is_json_number(value, kind: type = float) -> bool:
 _JSON_KINDS = {str: "a string", bool: "true or false", int: "an integer", float: "a number"}
 
 
+def _brief(value) -> str:
+    """repr(value) for an error message, cut to 40 characters plus "...", so
+    that a 400-digit integer from a file still makes one short line."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def _json_field(d: dict, name: str, kind: type = float, null: bool = False):
     """d[name] if it is a JSON value of kind, as a float for kind float (any
     JSON number within the float range); with null, a missing or null field
@@ -85,9 +92,9 @@ def _json_field(d: dict, name: str, kind: type = float, null: bool = False):
         return None
     if not (_is_json_number(value, kind) if kind in (int, float) else isinstance(value, kind)):
         what = _JSON_KINDS[kind] + (" or null" if null else "")
-        raise CurveDataError(f"{name} must be {what}, got {value!r}")
+        raise CurveDataError(f"{name} must be {what}, got {_brief(value)}")
     if kind is float and not abs(value) <= sys.float_info.max:  # NaN, ±Infinity
-        raise CurveDataError(f"{name} must be finite, got {value!r}")
+        raise CurveDataError(f"{name} must be finite, got {_brief(value)}")
     return float(value) if kind is float else value
 
 

@@ -4,12 +4,15 @@ brent_minimize runs the classic parabolic-interpolation-guarded-by-
 golden-section iteration and guarantees that every probe stays strictly
 inside the initial bracket and that the returned point is the best one
 actually evaluated, never an unevaluated interpolate.  Both guarantees
-matter when one evaluation costs a full encode sweep, and so do three
-departures from the textbook start and stop: the first step tries the
-parabola through the bracket's three evaluated points; the stop tolerance
+matter when one evaluation costs a full encode sweep, and so do four
+departures from the textbook start and stop: the step history starts at
+the bracket width, so the first two steps may both be parabolic, the first
+through the bracket's three evaluated points; the stop tolerance
 xtol*(|x| + 1/2) keeps an absolute floor of xtol/2 near x = 0; and with
-ftol > 0 the search also stops, without probing, when an accepted
-parabolic step predicts a gain below ftol in f's own units.
+ftol > 0 the search also stops, in f's own units, when an accepted
+parabolic step predicts a gain below ftol (without probing it), and after
+two probes in a row that each gained less than ftol on the best value so
+far, since there f's noise outweighs what is left to gain.
 """
 
 from __future__ import annotations
@@ -57,7 +60,8 @@ class Bracket:
 class OptimizerConfig:
     """brent_minimize's stop rules: xtol on x, relative with a floor; at most
     max_iters evaluations; and ftol, in f's units, on the gain an accepted
-    parabolic step predicts (0 turns that rule off)."""
+    parabolic step predicts and on the gain of two probes in a row (0 turns
+    both ftol rules off)."""
 
     xtol: float = 1e-4
     max_iters: int = 50
@@ -131,22 +135,28 @@ def brent_minimize(
 ) -> tuple[float, float, OptimizerTrace]:
     """Minimize f inside a bracket; returns (x_best, f_best, trace).
 
-    The first step tries the parabola through the bracket's three points.
-    Stops when the interval around x is within 2*xtol*(|x| + 1/2) + tiny;
-    when an accepted parabolic step's parabola, convex through (x, w, v),
-    puts its vertex less than ftol below f(x) (the vertex is not probed);
-    or after max_iters evaluations (then converged=False).  The result is
-    the best evaluated point over the bracket and all probes.
+    The step history starts at the bracket width, so the first step tries
+    the parabola through the bracket's three points and the second may be
+    parabolic too.  Stops when the interval around x is within
+    2*xtol*(|x| + 1/2) + tiny; when an accepted parabolic step's parabola,
+    convex through (x, w, v), puts its vertex less than ftol below f(x)
+    (the vertex is not probed); after two probes in a row whose values are
+    each above f(x) - ftol, f(x) being the best value before that probe;
+    or after max_iters evaluations (then converged=False).  Both ftol stops
+    set converged and need ftol > 0.  The result is the best evaluated
+    point over the bracket and all probes.
     """
     trace = OptimizerTrace()
     a, b = bracket.a, bracket.c
     x, fx = bracket.b, bracket.fb
     best = [(bracket.fa, bracket.a), (bracket.fb, bracket.b), (bracket.fc, bracket.c)]
     # The bracket's ends are evaluated points: w the lower, v the other, so
-    # the first step can be the parabola through all three.
+    # the first step can be the parabola through all three.  A step history
+    # of the bracket width lets the first two steps both be parabolic.
     (fw, w), (fv, v) = sorted([best[0], best[2]])
 
-    d, e = 0.0, b - a
+    d = e = b - a
+    stalls = 0
     for _ in range(config.max_iters):
         m = 0.5 * (a + b)
         # The xtol/2 floor keeps the stop test from vanishing near x = 0.
@@ -188,6 +198,8 @@ def brent_minimize(
         fu = f(u)
         trace.evaluations.append((u, fu))
         best.append((fu, u))
+        # Probes in a row that gain less than ftol on the best value so far, fx.
+        stalls = stalls + 1 if config.ftol > 0.0 and fu > fx - config.ftol else 0
 
         if fu <= fx:
             if u >= x:
@@ -207,6 +219,9 @@ def brent_minimize(
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
         trace.widths.append(b - a)
+        if stalls == 2:
+            trace.converged = True
+            break
 
     trace.iterations = len(trace.evaluations)
     f_best, x_best = min(best, key=lambda t: (t[0], t[1]))

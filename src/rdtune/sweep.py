@@ -30,7 +30,9 @@ no files.
 
 The search is one fixed bracketing plus Brent over ln k, at
 DEFAULT_OPTIMIZER's tolerances (xtol in ln k, ftol in BD-Rate points) and
-iteration cap.  It has one failure
+iteration cap: Brent stops on xtol, on a parabolic step that predicts less
+than ftol of gain, or after two trials in a row that each gain less than
+ftol on the best cost so far.  It has one failure
 rule: any RdtuneError raised while bracketing or refining (a probe whose
 sweep or BD-Rate fails, or no bracket inside the k bounds) ends the
 search, and k-hat is the best trial evaluated up to then, including the
@@ -643,8 +645,9 @@ def evaluate_cost(
 class OptimizationResult(_Document):
     """Per-clip outcome plus everything needed to report it.
 
-    stop_reason says why the search ended: "converged" (on xtol, or on a
-    predicted gain below ftol) or "max_iters" from Brent, "no_bracket" when
+    stop_reason says why the search ended: "converged" (on xtol, on a
+    predicted gain below ftol, or after two trials in a row that each gained
+    less than ftol) or "max_iters" from Brent, "no_bracket" when
     no bracket was found inside the k bounds, or
     "failed_probe" when a probe raised.  A result saved before the field
     existed loads with "unknown".

@@ -99,6 +99,22 @@ class TestOptimizeCommand:
         assert captured.out == "" and captured.err.count("\n") == 1
         assert captured.err.startswith("error: optimize: model file ") and "field r0" in captured.err
 
+    @pytest.mark.parametrize("option, doc", [
+        ("--synthetic", '{"r0": %s}' % BEYOND_FLOAT_RANGE),
+        ("--manifest", '[{"id": %s, "path": "a.yuv", "frame_count": 10, "frame_rate": 25}]'
+         % BEYOND_FLOAT_RANGE),
+        ("--manifest", '[{"id": "a", "path": "a.yuv", "frame_count": 10, "frame_rate": %s}]'
+         % BEYOND_FLOAT_RANGE),
+    ], ids=["model-r0", "manifest-id", "manifest-frame_rate"])
+    def test_number_beyond_float_range_is_cut_short_in_the_error(self, tmp_path, capsys, option, doc):
+        path = tmp_path / "input.json"
+        path.write_text(doc)
+        assert cli_dispatch(["optimize", option, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: optimize: ")
+        assert "1" + "0" * 39 + "..." in err and "0" * 40 not in err
+        assert len(err) < len(str(path)) + 150
+
     def test_manifest_frame_rate_beyond_float_range_is_one_error_line(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
         manifest.write_text('[{"id": "a", "path": "a.yuv", "frame_count": 10, "frame_rate": %s}]'

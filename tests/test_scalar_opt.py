@@ -92,6 +92,20 @@ class TestBrent:
         _, _, trace = brent_minimize(f, make_bracket(f, -1.0, 0.0, 1.0), OptimizerConfig())
         assert trace.evaluations[0][0] == pytest.approx(0.3, abs=1e-12)
 
+    def test_second_step_can_be_parabolic(self):
+        # The step history starts at the bracket width, so the second step
+        # is also tried as the vertex of the parabola through (x, w, v): the
+        # three lowest of the four evaluated points.
+        f = lambda x: math.exp(x) - 2.0 * x
+        br = make_bracket(f, 0.0, 1.0, 3.0)
+        _, _, trace = brent_minimize(f, br, OptimizerConfig())
+        evaluated = [(br.fa, br.a), (br.fb, br.b), (br.fc, br.c), trace.evaluations[0][::-1]]
+        (fx, x), (fw, w), (fv, v) = sorted(evaluated)[:3]
+        r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+        vertex = x - 0.5 * ((x - v) * q - (x - w) * r) / (q - r)
+        assert trace.evaluations[1][0] == pytest.approx(vertex, abs=1e-12)
+        assert abs(vertex - math.log(2.0)) < 0.05
+
     def test_cosine(self):
         config = OptimizerConfig(xtol=1e-6, max_iters=100)
         x, fx, trace = brent_minimize(math.cos, make_bracket(math.cos, 2.0, 3.0, 4.0), config)
@@ -199,6 +213,25 @@ class TestFtol:
         assert (x, fx) == (0.0, f(0.0))
         _, _, trace = brent_minimize(f, br, OptimizerConfig(ftol=0.08))
         assert trace.evaluations[0][0] == pytest.approx(0.3, abs=1e-12)
+
+    def test_stops_after_two_probes_below_ftol(self):
+        # A ripple of 0.01 on a quadratic: near the minimum most probes gain
+        # less than ftol on the best cost so far.  Its ftol = 0 trace has
+        # such a stall at probe 2, then one at 4 and 5 in a row, where the
+        # ftol > 0 search stops.
+        f = lambda x: (x - 0.3) ** 2 + 0.01 * math.sin(25.0 * x)
+        br = make_bracket(f, -1.0, 0.5, 2.0)
+        ftol = 1e-4
+        _, _, full = brent_minimize(f, br, OptimizerConfig())
+        stalls, best = [], br.fb
+        for _, fu in full.evaluations:
+            stalls.append(fu > best - ftol)
+            best = min(best, fu)
+        assert stalls[:5] == [False, True, False, True, True]
+        assert len(full.evaluations) > 5
+        _, _, trace = brent_minimize(f, br, OptimizerConfig(ftol=ftol))
+        assert trace.converged
+        assert trace.evaluations == full.evaluations[:5]
 
 
 class TestOptimizerConfig:
