@@ -123,8 +123,10 @@ def load_manifest(path: Path | str) -> dict[str, ClipInfo]:
                 )
             clip = ClipInfo(id=_json_field(entry, "id", str), path=Path(entry["path"]),
                             frame_count=count, frame_rate=float(rate))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ManifestError(f"manifest {path} entry {i}: {exc!r}") from exc
+        except KeyError as exc:
+            raise ManifestError(f"manifest {path} entry {i}: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ManifestError(f"manifest {path} entry {i}: {exc}") from exc
         if clip.id in clips:
             raise ManifestError(f"manifest {path}: duplicate clip id {clip.id!r}")
         clips[clip.id] = clip

@@ -124,6 +124,14 @@ class TestOptimizeCommand:
         assert captured.out == "" and captured.err.count("\n") == 1
         assert captured.err.startswith(f"error: optimize: manifest {manifest} entry 0: ")
 
+    def test_manifest_field_error_is_plain_text(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text('[{"id": 5, "path": "a.yuv", "frame_count": 10, "frame_rate": 25}]')
+        assert cli_dispatch(["optimize", "--manifest", str(manifest)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "id must be a string, got 5" in err and "CurveDataError(" not in err
+
     def test_stdout_output(self, tmp_path, capsys):
         assert cli_dispatch([
             "optimize", "--synthetic", "default", "--cache-dir", str(tmp_path / "c"),

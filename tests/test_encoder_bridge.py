@@ -142,7 +142,7 @@ class TestClipManifest:
     def test_missing_field(self, tmp_path):
         p = tmp_path / "m.json"
         p.write_text(json.dumps([{"id": "a", "path": "x"}]))
-        with pytest.raises(ManifestError):
+        with pytest.raises(ManifestError, match="m.json entry 0: missing field 'frame_count'$"):
             load_manifest(p)
 
     def test_duplicate_id(self, tmp_path):

@@ -984,7 +984,7 @@ class TestOptimizeClip:
 
     def test_default_model_probe_count(self, tmp_path):
         # Brent's first two steps may both be parabolic, and it stops once a
-        # parabolic step predicts less than ftol (0.01 BD-Rate points) of
+        # parabolic step predicts less than ftol (0.05 BD-Rate points) of
         # gain, before the interval reaches xtol*(|ln k| + 1/2).
         result = optimize_clip("clip", av1_config(cache_dir=tmp_path), synthetic_backend())
         assert result.stop_reason == "converged"
