@@ -28,8 +28,8 @@ for p in reference.points:
 # exactly; evaluation outside the knot span raises instead of
 # extrapolating.
 
-fit = reference.rate_fit()
-lo, hi = fit.span
+fit = reference.rate_fit
+lo, hi = fit.x[0], fit.x[-1]
 mid = 0.5 * (lo + hi)
 print(f"\nfit span: [{lo:.2f}, {hi:.2f}] dB; rate at {mid:.2f} dB ="
       f" {10 ** rt.pchip_eval(fit, mid):9.1f} kbps")

@@ -23,26 +23,24 @@ print(f"bracket: a={bracket.a:.4f}  b={bracket.b:.4f}  c={bracket.c:.4f}")
 print(f"values : {bracket.fa:.4f} > {bracket.fb:.4f} < {bracket.fc:.4f}")
 
 ################################################################################
-# Refine with Brent. The trace records every post-bracket evaluation and
-# the shrinking interval width.
+# Refine with Brent. The trace records every post-bracket evaluation.
 
 config = rt.OptimizerConfig(xtol=1e-4, max_iters=50)
 x, fx, trace = rt.brent_minimize(quadratic, bracket, config)
 print(f"\nminimum of (x-2.5)^2: x={x:.6f}  f={fx:.2e}"
       f"  ({trace.iterations} evaluations, converged={trace.converged})")
 
-x, fx, trace = rt.brent_minimize(
+x, _, _ = rt.brent_minimize(
     math.cos, rt.bracket_minimum(math.cos, 2.0, 2.5), config
 )
 print(f"minimum of cos(x)    : x={x:.6f}  (pi = {math.pi:.6f})")
-print("interval widths      :", " ".join(f"{w:.3g}" for w in trace.widths))
 
 ################################################################################
 # A monotone function has no interior minimum; bracketing reports that
 # instead of wandering forever.
 
 try:
-    rt.bracket_minimum(lambda x: x, 0.0, 1.0, max_expansions=20)
+    rt.bracket_minimum(lambda x: x, 0.0, 1.0)
 except rt.BracketError as exc:
     print("\nmonotone objective:", exc)
 

@@ -53,8 +53,6 @@ __all__ = [
     "EncodeJob",
     "CommandTemplate",
     "SyntheticClipModel",
-    "synth_encode",
-    "parse_metric_report",
     "encode_measure",
     "SyntheticEncoder",
     "ExternalEncoder",
@@ -155,7 +153,7 @@ class EncodeJob:
     def __post_init__(self) -> None:
         if not validate_qp(self.codec, self.qp):
             lo, hi = self.codec.qp_range
-            raise QpRangeError(f"qp {self.qp} outside [{lo}, {hi}] for {self.codec.value}")
+            raise QpRangeError(f"qp {self.qp!r} is not an integer in [{lo}, {hi}] for {self.codec.value}")
         if not (self.k > 0.0 and math.isfinite(self.k)):
             raise DomainError(f"scale factor k must be positive and finite, got {self.k}")
         if not self.group.valid_for(self.codec):

@@ -4,7 +4,7 @@ A patched encoder applies k to its own quantizer-derived lambda0 (lambda =
 k * lambda0) for the frame types and decisions selected here; rdtune only
 chooses k, so it never computes lambda itself.  This module names the
 codecs with their quantizer ranges, the frame-type groups and the scopes
-that k can target.
+that k can target.  Each parses from its value or its name, in any case.
 """
 
 from __future__ import annotations
@@ -19,7 +19,22 @@ __all__ = [
 ]
 
 
-class CodecId(Enum):
+class _Parsed(Enum):
+    """An enum whose parse takes a member's value or name, in any case,
+    with surrounding whitespace."""
+
+    @classmethod
+    def parse(cls, text: str):
+        wanted = text.strip().lower()
+        for member in cls:
+            if wanted in (member.value.lower(), member.name.lower()):
+                return member
+        raise ValueError(
+            f"unknown {_KINDS[cls]} {text!r}; expected one of " + ", ".join(m.value for m in cls)
+        )
+
+
+class CodecId(_Parsed):
     AV1 = "AV1"
     HEVC = "HEVC"
 
@@ -27,15 +42,8 @@ class CodecId(Enum):
     def qp_range(self) -> tuple[int, int]:
         return (0, 63) if self is CodecId.AV1 else (0, 51)
 
-    @classmethod
-    def parse(cls, text: str) -> "CodecId":
-        try:
-            return cls(text.strip().upper())
-        except ValueError:
-            raise ValueError(f"unknown codec {text!r}; expected AV1 or HEVC") from None
 
-
-class FrameTypeGroup(Enum):
+class FrameTypeGroup(_Parsed):
     """Frame-type grouping whose lambda gets the scale factor k.
 
     ALL_FRAMES applies the same k everywhere.  The others leave k=1 for
@@ -56,35 +64,21 @@ class FrameTypeGroup(Enum):
         av1_only = {FrameTypeGroup.KF, FrameTypeGroup.GF_ARF, FrameTypeGroup.KF_GF_ARF}
         return (self in av1_only) == (codec is CodecId.AV1)
 
-    @classmethod
-    def parse(cls, text: str) -> "FrameTypeGroup":
-        wanted = text.strip().lower()
-        for member in cls:
-            if wanted in (member.value.lower(), member.name.lower()):
-                return member
-        raise ValueError(
-            f"unknown frame-type group {text!r}; expected one of "
-            + ", ".join(m.value for m in cls)
-        )
 
-
-class LambdaScope(Enum):
+class LambdaScope(_Parsed):
     """Whether k applies to all RD decisions in targeted frames (TOP) or
     only to the block-partitioning decision (PARTITION)."""
 
     TOP = "Top"
     PARTITION = "Partition"
 
-    @classmethod
-    def parse(cls, text: str) -> "LambdaScope":
-        wanted = text.strip().lower()
-        for member in cls:
-            if wanted in (member.value.lower(), member.name.lower()):
-                return member
-        raise ValueError(f"unknown scope {text!r}; expected Top or Partition")
+
+# Each kind's name in parse's error (a class attribute of an enum is a member).
+_KINDS = {CodecId: "codec", FrameTypeGroup: "frame-type group", LambdaScope: "scope"}
 
 
 def validate_qp(codec: CodecId, qp: int) -> bool:
-    """True iff qp lies in the codec's closed quantizer range."""
+    """True iff qp is an int (not a bool) in the codec's closed quantizer
+    range; 27.5, "27" and True are not QPs."""
     lo, hi = codec.qp_range
-    return lo <= qp <= hi
+    return isinstance(qp, int) and not isinstance(qp, bool) and lo <= qp <= hi

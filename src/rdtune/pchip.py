@@ -37,10 +37,6 @@ class PchipInterpolant:
     y: tuple[float, ...]
     slopes: tuple[float, ...]
 
-    @property
-    def span(self) -> tuple[float, float]:
-        return self.x[0], self.x[-1]
-
     def __call__(self, at, derivative: int = 0):
         return pchip_eval(self, at, derivative=derivative)
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .rd_curve import RDCurve
 
-__all__ = ["PlotLayout", "compute_layout", "emit_plot", "render_svg"]
+__all__ = ["emit_plot"]
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#e377c2"]
 _SAMPLES_PER_CURVE = 200
@@ -76,9 +76,9 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def render_svg(curves: list[RDCurve], layout: PlotLayout | None = None, title: str = "") -> str:
+def render_svg(curves: list[RDCurve], title: str = "") -> str:
     """Render the curves to an SVG document string."""
-    layout = layout or compute_layout(curves)
+    layout = compute_layout(curves)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
         f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
@@ -131,7 +131,7 @@ def render_svg(curves: list[RDCurve], layout: PlotLayout | None = None, title: s
     # Curves: smoothed path + knot markers.
     for i, curve in enumerate(curves):
         color = _PALETTE[i % len(_PALETTE)]
-        fit = curve.rate_fit()
+        fit = curve.rate_fit
         grid = _sample_grid(curve)
         log_rates = fit(grid)
         coords = [

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cache, cached_property
 from typing import get_args, get_origin, get_type_hints
@@ -213,7 +213,7 @@ class RDCurve(_Document):
     k: float
     group: FrameTypeGroup
     scope: LambdaScope
-    points: tuple[RDPoint, ...] = field(default_factory=tuple)
+    points: tuple[RDPoint, ...]
 
     def __post_init__(self) -> None:
         if not 0.0 < self.k < math.inf:
@@ -265,20 +265,14 @@ class RDCurve(_Document):
     # the same curve for every trial of a clip) and shared; its fields are
     # tuples, so no user can change it.
     @cached_property
-    def _rate_fit(self) -> PchipInterpolant:
+    def rate_fit(self) -> PchipInterpolant:
+        """Monotone fit of quality (dB) -> log10 bitrate."""
         return pchip_fit(zip(self.qualities_db, self.log10_rates))
 
     @cached_property
-    def _quality_fit(self) -> PchipInterpolant:
-        return pchip_fit(zip(self.log10_rates, self.qualities_db))
-
-    def rate_fit(self) -> PchipInterpolant:
-        """Monotone fit of quality (dB) -> log10 bitrate."""
-        return self._rate_fit
-
     def quality_fit(self) -> PchipInterpolant:
         """Monotone fit of log10 bitrate -> quality (dB)."""
-        return self._quality_fit
+        return pchip_fit(zip(self.log10_rates, self.qualities_db))
 
 
 def _integrate_difference(
@@ -302,15 +296,15 @@ def _integrate_difference(
     return math.fsum(terms) / 6.0
 
 
-def _bd_mean(reference: RDCurve, test: RDCurve, fit, metric: str, axis: str) -> float:
-    """Mean of fit(test) - fit(reference) over the overlap of the two fits'
+def _bd_mean(reference: RDCurve, test: RDCurve, fit: str, metric: str, axis: str) -> float:
+    """Mean of test.<fit> - reference.<fit> over the overlap of the two fits'
     knot spans, for curves of at least _MIN_POINTS points each."""
     for name, curve in (("reference", reference), ("test", test)):
         if len(curve.points) < _MIN_POINTS:
             raise InsufficientPointsError(
                 f"{metric} needs at least {_MIN_POINTS} points, {name} curve has {len(curve.points)}"
             )
-    f_ref, f_test = fit(reference), fit(test)
+    f_ref, f_test = getattr(reference, fit), getattr(test, fit)
     lo = max(f_ref.x[0], f_test.x[0])
     hi = min(f_ref.x[-1], f_test.x[-1])
     if lo >= hi:
@@ -324,14 +318,14 @@ def _bd_mean(reference: RDCurve, test: RDCurve, fit, metric: str, axis: str) -> 
 def bd_rate(reference: RDCurve, test: RDCurve) -> float:
     """Average bitrate difference of test vs reference, percent, over the
     overlapping quality interval.  Negative means the test curve is better."""
-    delta = _bd_mean(reference, test, RDCurve.rate_fit, "bd_rate", "quality (dB)")
+    delta = _bd_mean(reference, test, "rate_fit", "bd_rate", "quality (dB)")
     return (10.0 ** delta - 1.0) * 100.0
 
 
 def bd_quality(reference: RDCurve, test: RDCurve) -> float:
     """Average quality difference (dB) of test vs reference over the
     overlapping log-rate interval.  Positive means the test curve is better."""
-    return _bd_mean(reference, test, RDCurve.quality_fit, "bd_quality", "log10 rate")
+    return _bd_mean(reference, test, "quality_fit", "bd_quality", "log10 rate")
 
 
 def matched_qp_savings(reference: RDCurve, test: RDCurve, qp: int) -> float:

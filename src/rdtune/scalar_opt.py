@@ -26,7 +26,6 @@ from .errors import BracketError
 __all__ = [
     "Bracket",
     "OptimizerConfig",
-    "OptimizerTrace",
     "bracket_minimum",
     "brent_minimize",
 ]
@@ -34,6 +33,7 @@ __all__ = [
 _GOLDEN = 0.3819660112501051  # 2 - phi
 _EXPAND = 1.618033988749895  # phi
 _ZEPS = 1e-11
+_MAX_EXPANSIONS = 50
 
 
 @dataclass(frozen=True)
@@ -78,14 +78,9 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizerTrace:
-    """Evaluations made after bracketing, in order.
-
-    widths holds the working interval width after each iteration; it is
-    non-increasing by construction.
-    """
+    """Evaluations made after bracketing, in order."""
 
     evaluations: list[tuple[float, float]] = field(default_factory=list)
-    widths: list[float] = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
 
@@ -94,14 +89,13 @@ def bracket_minimum(
     f: Callable[[float], float],
     x0: float,
     x1: float,
-    max_expansions: int = 50,
     lo: float = -math.inf,
     hi: float = math.inf,
 ) -> Bracket:
     """Find a minimum bracket by golden-ratio downhill expansion from two seeds.
 
     Expansion is clamped to [lo, hi]; a function still heading downhill at
-    a clamp (or after max_expansions steps) raises BracketError.
+    a clamp (or after _MAX_EXPANSIONS steps) raises BracketError.
     """
     if x0 == x1:
         raise BracketError("bracket seeds must differ")
@@ -110,7 +104,7 @@ def bracket_minimum(
     if fb > fa:
         a, b, fa, fb = b, a, fb, fa
     # Downhill now runs a -> b.
-    for _ in range(max_expansions):
+    for _ in range(_MAX_EXPANSIONS):
         c = b + _EXPAND * (b - a)
         c = min(max(c, lo), hi)
         if c == b:
@@ -124,7 +118,7 @@ def bracket_minimum(
             return Bracket(a=a, b=b, c=c, fa=fa, fb=fb, fc=fc)
         a, b, fa, fb = b, c, fb, fc
     raise BracketError(
-        f"no bracket after {max_expansions} expansions (function may be monotone)"
+        f"no bracket after {_MAX_EXPANSIONS} expansions (function may be monotone)"
     )
 
 
@@ -218,7 +212,6 @@ def brent_minimize(
                 fv, fw = fw, fu
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
-        trace.widths.append(b - a)
         if stalls == 2:
             trace.converged = True
             break

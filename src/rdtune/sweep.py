@@ -88,7 +88,6 @@ __all__ = [
     "EncoderBackend",
     "PointCache",
     "RunLedger",
-    "cache_key",
     "run_sweep",
     "evaluate_cost",
     "optimize_clip",
@@ -154,18 +153,18 @@ class SweepConfig:
         ladder = self.qp_ladder
         if ladder is None:
             ladder = DEFAULT_QP_LADDERS[self.codec]
-        ladder = tuple(int(q) for q in ladder)
+        ladder = tuple(ladder)
         object.__setattr__(self, "qp_ladder", ladder)
         if self.cache_dir is not None:
             object.__setattr__(self, "cache_dir", Path(self.cache_dir))
         if not ladder:
             raise ValueError("qp_ladder must not be empty")
-        if list(ladder) != sorted(set(ladder)):
-            raise ValueError(f"qp_ladder must be strictly ascending, got {ladder}")
-        for qp in ladder:
+        for qp in ladder:  # before sorting, which a str among ints would break
             if not validate_qp(self.codec, qp):
                 lo, hi = self.codec.qp_range
-                raise ValueError(f"qp {qp} outside [{lo}, {hi}] for {self.codec.value}")
+                raise ValueError(f"qp {qp!r} is not an integer in [{lo}, {hi}] for {self.codec.value}")
+        if list(ladder) != sorted(set(ladder)):
+            raise ValueError(f"qp_ladder must be strictly ascending, got {ladder}")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
         if not self.group.valid_for(self.codec):

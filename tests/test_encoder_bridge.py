@@ -568,6 +568,11 @@ class TestEncodeJob:
         with pytest.raises(QpRangeError):
             make_job(qp=64)
 
+    @pytest.mark.parametrize("qp", [27.5, 27.0, "27", True])
+    def test_qp_must_be_an_int(self, qp):
+        with pytest.raises(QpRangeError, match=f"qp {qp!r} is not an integer"):
+            make_job(qp=qp)
+
     def test_group_codec_checked(self):
         with pytest.raises(DomainError):
             make_job(codec=CodecId.HEVC, group=FrameTypeGroup.KF)

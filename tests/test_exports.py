@@ -36,3 +36,22 @@ def test_import_loads_no_numpy_or_network_stack():
     assert proc.returncode == 0, proc.stderr[-2000:]
     banned = {"numpy", "xml", "http", "ssl", "email", "fractions", "decimal", "statistics"}
     assert [m for m in proc.stdout.split() if m.split(".")[0] in banned] == []
+
+
+# The modules rdtune/__init__.py star-imports; the CLI is the entry point,
+# not library API.
+LIBRARY = [m for m in MODULES[1:] if m.__name__ != "rdtune.cli"]
+DROPPED = ("parse_metric_report", "synth_encode", "PlotLayout", "compute_layout", "render_svg")
+
+
+def test_package_exports_exactly_the_module_lists():
+    # Each module's __all__ is the one statement of what the package exports;
+    # errors.py has none and exports its exception classes.
+    expected = {info.name for info in pkgutil.iter_modules(rdtune.__path__)}
+    for module in LIBRARY:
+        expected |= set(getattr(module, "__all__", [n for n in vars(module) if n[0] != "_"]))
+    assert {n for n in vars(rdtune) if n[0] != "_"} == expected
+    assert rdtune.__version__
+    assert [n for n in DROPPED if hasattr(rdtune, n)] == []
+    # Dropped from the package, kept in their modules.
+    assert all(any(hasattr(m, n) for m in LIBRARY) for n in DROPPED)

@@ -14,6 +14,10 @@ class TestValidateQp:
             (CodecId.AV1, 0, True),
             (CodecId.HEVC, 0, True),
             (CodecId.HEVC, -1, False),
+            (CodecId.AV1, 27.5, False),
+            (CodecId.AV1, 27.0, False),
+            (CodecId.AV1, "27", False),
+            (CodecId.AV1, True, False),
         ],
     )
     def test_bounds(self, codec, qp, ok):
@@ -34,9 +38,14 @@ class TestEnums:
         assert FrameTypeGroup.parse("kf_gf_arf") is FrameTypeGroup.KF_GF_ARF
         assert FrameTypeGroup.parse("IFrames") is FrameTypeGroup.I_FRAMES
         assert LambdaScope.parse("partition") is LambdaScope.PARTITION
-        with pytest.raises(ValueError):
+        # Names, in any case and with surrounding whitespace, parse too.
+        assert CodecId.parse(" hevc ") is CodecId.HEVC
+        assert LambdaScope.parse("TOP") is LambdaScope.TOP
+        assert FrameTypeGroup.parse("i_frames") is FrameTypeGroup.I_FRAMES
+        assert FrameTypeGroup.parse("\tAll_Frames\n") is FrameTypeGroup.ALL_FRAMES
+        with pytest.raises(ValueError, match=r"unknown codec 'vp9'; expected one of AV1, HEVC$"):
             CodecId.parse("vp9")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"frame-type group 'pframes'; expected one of AllFrames, KF,"):
             FrameTypeGroup.parse("pframes")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"scope 'middle'; expected one of Top, Partition$"):
             LambdaScope.parse("middle")

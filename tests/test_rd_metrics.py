@@ -191,11 +191,11 @@ class TestRDCurve:
 
         fresh = pchip_fit(np.column_stack([reference.qualities_db, reference.log10_rates]))
         for name in ("x", "y", "slopes"):
-            cached = getattr(reference.rate_fit(), name)
+            cached = getattr(reference.rate_fit, name)
             assert np.array_equal(cached, getattr(fresh, name))
             with pytest.raises(TypeError):
                 cached[0] = 0.0
-        assert reference.quality_fit() is reference.quality_fit()
+        assert reference.quality_fit is reference.quality_fit
         assert RDCurve.from_dict(reference.to_dict()) == reference
 
 

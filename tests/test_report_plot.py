@@ -153,7 +153,7 @@ class TestPlot:
     def test_samples_stay_in_span(self):
         curves = synthetic_curves(ks=(1.0, 2.5))
         layout = compute_layout(curves)
-        svg = render_svg(curves, layout)
+        svg = render_svg(curves)
         for i, curve in enumerate(curves):
             lo = layout.x_px(curve.log10_rates[0])
             hi = layout.x_px(curve.log10_rates[-1])
@@ -165,7 +165,7 @@ class TestPlot:
         # interpolant at every measured point to within half a pixel.
         curves = synthetic_curves(ks=(1.0, 2.5))
         layout = compute_layout(curves)
-        svg = render_svg(curves, layout)
+        svg = render_svg(curves)
         for i, curve in enumerate(curves):
             pts = path_points(svg, i)
             for cx, cy in marker_points(svg, i):
@@ -176,7 +176,7 @@ class TestPlot:
     def test_marker_positions_match_transform(self):
         curves = synthetic_curves(ks=(1.0,))
         layout = compute_layout(curves)
-        svg = render_svg(curves, layout)
+        svg = render_svg(curves)
         expected = sorted(
             (layout.x_px(math.log10(p.bitrate_kbps)), layout.y_px(p.msssim_db))
             for p in curves[0].points

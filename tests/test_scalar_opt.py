@@ -57,7 +57,7 @@ class TestBracketMinimum:
 
     def test_monotone_fails(self):
         with pytest.raises(BracketError):
-            bracket_minimum(lambda x: x, 0.0, 1.0, max_expansions=20)
+            bracket_minimum(lambda x: x, 0.0, 1.0)
 
     def test_domain_edge_fails(self):
         # Still descending at the clamp boundary.
@@ -141,14 +141,6 @@ class TestBrent:
         evaluated = [br.fa, br.fb, br.fc] + [v for _, v in trace.evaluations]
         assert fx == min(evaluated)
         assert fx == f(x)
-
-    def test_interval_width_non_increasing(self):
-        config = OptimizerConfig(xtol=1e-8, max_iters=60)
-        f, _ = random_unimodal_quartic(np.random.default_rng(21))
-        br = bracket_minimum(f, -3.0, -2.0)
-        _, _, trace = brent_minimize(f, br, config)
-        assert len(trace.widths) == trace.iterations
-        assert all(b <= a + 1e-15 for a, b in zip(trace.widths, trace.widths[1:]))
 
     def test_convergence_on_convex_family(self):
         rng = np.random.default_rng(37)

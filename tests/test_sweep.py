@@ -144,11 +144,19 @@ class TestSweepConfig:
             dict(qp_ladder=()),
             dict(workers=0),
             dict(group=FrameTypeGroup.I_FRAMES),
+            dict(qp_ladder=(27.9, 39, 49, 59)),
+            dict(qp_ladder=(27, "39", 49, 59)),
+            dict(qp_ladder=(True, 39, 49, 59)),
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SweepConfig(codec=CodecId.AV1, **kwargs)
+
+    def test_non_integer_qp_named(self):
+        # Refused, not truncated to 27 as int() would.
+        with pytest.raises(ValueError, match=r"qp 27\.9 is not an integer in \[0, 63\]"):
+            SweepConfig(codec=CodecId.AV1, qp_ladder=(27.9, 39, 49, 59))
 
 
 class TestCacheKey:
