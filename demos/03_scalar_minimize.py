@@ -28,7 +28,7 @@ print(f"values : {bracket.fa:.4f} > {bracket.fb:.4f} < {bracket.fc:.4f}")
 config = rt.OptimizerConfig(xtol=1e-4, max_iters=50)
 x, fx, trace = rt.brent_minimize(quadratic, bracket, config)
 print(f"\nminimum of (x-2.5)^2: x={x:.6f}  f={fx:.2e}"
-      f"  ({trace.iterations} evaluations, converged={trace.converged})")
+      f"  ({len(trace.evaluations)} evaluations, converged={trace.converged})")
 
 x, _, _ = rt.brent_minimize(
     math.cos, rt.bracket_minimum(math.cos, 2.0, 2.5), config
@@ -59,4 +59,4 @@ bracket = rt.bracket_minimum(cost, math.log(0.5), 0.0,
                              lo=math.log(1 / 16), hi=math.log(16))
 x, fx, trace = rt.brent_minimize(cost, bracket, rt.DEFAULT_OPTIMIZER)
 print(f"\nsynthetic clip: best k = {math.exp(x):.3f}  cost = {fx:.2f} %"
-      f"  in {trace.iterations} refinement steps")
+      f"  in {len(trace.evaluations)} refinement steps")

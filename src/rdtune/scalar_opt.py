@@ -81,7 +81,6 @@ class OptimizerTrace:
     """Evaluations made after bracketing, in order."""
 
     evaluations: list[tuple[float, float]] = field(default_factory=list)
-    iterations: int = 0
     converged: bool = False
 
 
@@ -216,6 +215,5 @@ def brent_minimize(
             trace.converged = True
             break
 
-    trace.iterations = len(trace.evaluations)
     f_best, x_best = min(best, key=lambda t: (t[0], t[1]))
     return x_best, f_best, trace

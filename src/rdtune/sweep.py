@@ -2,14 +2,16 @@
 per-clip search for the best scale factor.
 
 Cost of one k trial is the BD-Rate of its curve against the k=1 reference
-curve, so each trial costs one full QP-ladder sweep (N encodes).  Every
-encode, fresh or cached, completed or failed, is appended to a JSON Lines
+curve, so each trial costs one full QP-ladder sweep (N encodes).  An
+encode's outcome is one value: its RDPoint, or the error it failed with.
+Every encode, fresh or cached, is appended with its outcome to a JSON Lines
 run ledger, which is sufficient to recompute every derived statistic and is
-the one persistent store of RD points and of failed encodes: PointCache
-indexes it by content-addressed cache key, so a warm re-run, or another
-process sharing the cache dir, re-encodes nothing but the encodes whose
-child process failed.  A deterministic failure is replayed from its record
-as the same error, so a warm re-run takes the same path through the search.
+the one persistent store: PointCache indexes the outcomes by
+content-addressed cache key, so a warm re-run, or another process sharing
+the cache dir, re-encodes nothing but the encodes whose child process
+failed.  A deterministic failure is replayed as the same error, so a warm
+re-run takes the same path through the search.  A sweep tables the
+outcome of each qp of its ladder, from the store or from an encode.
 
 A sweep dispatches its cache misses in one of two ways, chosen by the
 backend's in_process attribute.  An in-process backend's encodes hold the
@@ -54,7 +56,7 @@ import threading
 import time
 import weakref
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, CancelledError, Future, ThreadPoolExecutor, wait
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -188,9 +190,8 @@ _TAIL_CHUNK = 1 << 16
 
 
 class RunLedger:
-    """Append-only JSON Lines record of every encode, completed or failed,
-    and the one persistent store of RD points and failed encodes (PointCache
-    is its in-memory index).
+    """Append-only JSON Lines record of every encode's outcome, and the one
+    persistent store of outcomes (PointCache is its in-memory index).
 
     The file is opened once with O_APPEND, and each append() writes all of
     its records with one os.write while an exclusive flock is held, so
@@ -314,77 +315,77 @@ _REPLAYED = {
 }
 
 
-class PointCache:
-    """In-memory index cache_key -> RDPoint or replayed failure, over a
-    RunLedger.
+def _replayed(error: str, message: str) -> RdtuneError | None:
+    """The failure, of the class named error, to replay; None when it is
+    not replayed (see _REPLAYED), so its encode is a miss."""
+    cls = _REPLAYED.get(error)
+    return cls(message) if cls is not None else None
 
-    put() and put_failure() write to memory only: the ledger record the
-    sweep appends after them is what persists the outcome.  On a miss,
-    get() first indexes the complete lines appended to the ledger since its
-    last read, by this or any other process, then looks again.  A key with
-    an "ok" record is served its point.  A key with none, whose last
-    "failed" record is a deterministic failure (see _REPLAYED), makes get()
-    raise that error again, with the same message: the encode is not run.
-    A key whose last failure was an EncodeFailure is a miss.  A line that
-    does not parse, is not a ledger record or does not make a valid RDPoint
-    is skipped, so its point is a miss and is re-encoded.  With no ledger
-    (or one with no path) it is memory-only.
+
+def _outcome(rec: dict) -> RDPoint | RdtuneError | None:
+    """The outcome a ledger record holds: an "ok" record's point (records
+    older than status are ok), or the failure a "failed" one replays, None
+    when that is not replayed.  A record of another status, or with a field
+    that does not read, raises ValueError, KeyError or TypeError."""
+    status = rec.get("status", "ok")
+    if status == "ok":
+        return RDPoint.from_dict(rec)
+    if status == "failed":
+        return _replayed(_json_field(rec, "error", str), _json_field(rec, "message", str))
+    raise ValueError(f"unknown status {status!r}")
+
+
+class PointCache:
+    """In-memory index cache_key -> outcome over a RunLedger: an encode's
+    RDPoint, or the deterministic failure it replays.
+
+    get() returns the key's point, its replayed failure (an error of the
+    recorded class and message: the encode is not run), or None for a miss.
+    While it knows no point for the key, it first indexes the complete lines
+    appended to the ledger since its last read, by any process, so a point
+    recorded elsewhere beats a failure already known here.  put() indexes an
+    outcome in memory only; the sweep's ledger record persists it.  Both
+    follow one rule: a key's first point wins, and until then its last
+    failure decides (an EncodeFailure, or an error that is not an
+    RdtuneError, makes it a miss).  A line that does not parse, is not a
+    ledger record or does not make a valid RDPoint is skipped, so its point
+    is re-encoded.  With no ledger (or one with no path) it is memory-only.
     """
 
     def __init__(self, ledger: RunLedger | None = None):
         self.ledger = ledger if ledger is not None else RunLedger(None)
-        self._mem: dict[str, RDPoint] = {}
-        self._failed: dict[str, tuple[type, str]] = {}
+        self._known: dict[str, RDPoint | RdtuneError | None] = {}
         self._read_to = 0
         self._lock = threading.Lock()
 
-    def get(self, key: str) -> RDPoint | None:
+    def get(self, key: str) -> RDPoint | RdtuneError | None:
         with self._lock:
-            point = self._mem.get(key)
-            if point is None:
+            if not isinstance(self._known.get(key), RDPoint):
                 data = self.ledger._read_from(self._read_to)
                 self._read_to += len(data)
                 self._index(data)
-                point = self._mem.get(key)
-                if point is None and key in self._failed:
-                    error, message = self._failed[key]
-                    raise error(message)
-            return point
+            return self._known.get(key)
 
     def _index(self, data: bytes) -> None:
         for line in data.splitlines():
             try:
                 rec = json.loads(line)
                 key = rec["cache_key"]  # TypeError unless a JSON object
-                status = rec.get("status", "ok")  # records older than status are ok
-                if status == "ok":
-                    if key not in self._mem:
-                        self._mem[key] = RDPoint.from_dict(rec)
-                elif status == "failed":
-                    self._note_failure(
-                        key, _json_field(rec, "error", str), _json_field(rec, "message", str))
+                if not isinstance(self._known.get(key), RDPoint):  # the first point wins
+                    self._known[key] = _outcome(rec)
             except (ValueError, KeyError, TypeError):
                 continue  # unreadable: a miss, re-encoded and appended anew
 
-    def _note_failure(self, key: str, error: str, message: str) -> None:
-        """Index a failed encode of key, whose error class is named error:
-        the last failure of a key decides whether get() replays it."""
-        if error in _REPLAYED:
-            self._failed[key] = (_REPLAYED[error], message)
-        else:
-            self._failed.pop(key, None)
-
-    def put_failure(self, key: str, exc: Exception) -> None:
+    def put(self, key: str, outcome: RDPoint | Exception) -> None:
+        if not isinstance(outcome, RDPoint):
+            outcome = _replayed(type(outcome).__name__, str(outcome))
         with self._lock:
-            self._note_failure(key, type(exc).__name__, str(exc))
-
-    def put(self, key: str, point: RDPoint) -> None:
-        with self._lock:
-            self._mem[key] = point
+            if not isinstance(self._known.get(key), RDPoint):  # the first point wins
+                self._known[key] = outcome
 
     def _skip(self, span: tuple[int, int]) -> None:
         """Mark the ledger bytes [start, end) read, when they start where
-        the last read ended.  For records of points this store already
+        the last read ended.  For records of outcomes this store already
         holds (a sweep's own append): parsing them would add nothing.  A
         span elsewhere holds, or follows, lines not yet read; those are
         parsed on the next miss as usual."""
@@ -482,37 +483,34 @@ def _sweep(
 ) -> tuple[RDCurve, int]:
     """Measure the full ladder for one (clip, k), encoding cache misses on
     `pool`, or in ladder order on this thread when it is None; returns
-    (curve, fresh_encodes).  A failed sweep raises SweepError, whose
-    fresh_encodes counts the encodes it dispatched."""
+    (curve, fresh_encodes).  Store hits, replayed failures and encodes all
+    go into one table qp -> outcome.  A failed sweep raises SweepError naming
+    its first failed qp in ladder order; its fresh_encodes counts the
+    encodes it dispatched."""
     digests = {"template_digest": backend.template_digest(),
                "clip_digest": backend.clip_digest(clip_id)}
     work_dir = None if config.cache_dir is None else config.cache_dir / "work"
 
-    points: dict[int, RDPoint] = {}
-    failures: list[tuple[int, Exception]] = []
+    outcomes: dict[int, RDPoint | Exception] = {}
     hits: list[dict] = []
     pending: list[tuple[int, EncodeJob, str]] = []
     for qp in config.qp_ladder:
         job = EncodeJob(clip_id, config.codec, qp, k, config.group, config.scope, work_dir)
         key = cache_key(job, **digests)
-        try:
-            point = cache.get(key)
-        except RdtuneError as exc:  # a deterministic failure, replayed
-            failures.append((qp, exc))
-            hits.append(_ledger_record(key, job, digests, exc, 0.0, cached=True))
-            continue
-        if point is not None:
-            points[qp] = point
-            hits.append(_ledger_record(key, job, digests, point, 0.0, cached=True))
-        else:
+        outcome = cache.get(key)
+        if outcome is None:
             pending.append((qp, job, key))
+        else:
+            outcomes[qp] = outcome
+            hits.append(_ledger_record(key, job, digests, outcome, 0.0, cached=True))
 
     def write(records: list[dict]) -> None:
         if records:
             cache._skip(cache.ledger.append(*records))
 
-    def run_one(job: EncodeJob) -> tuple[RDPoint | Exception, float]:
-        """The encode's point, or the error it failed with, and its seconds."""
+    def run_one(qp: int, job: EncodeJob, key: str) -> dict:
+        """Encode job, then index and table its point, or the error it
+        failed with; returns its ledger record."""
         start = time.perf_counter()
         try:
             try:
@@ -521,29 +519,13 @@ def _sweep(
                 outcome = backend.measure(job)
         except Exception as exc:
             outcome = exc
-        return outcome, time.perf_counter() - start
-
-    def settle(qp: int, job: EncodeJob, key: str, result) -> list[dict]:
-        """Index one finished encode; result() returns run_one's result, or
-        raises when the encode never ran.  Returns the records to write."""
-        try:
-            outcome, seconds = result()
-        except Exception as exc:  # cancelled with its pool: nothing to record
-            failures.append((qp, exc))
-            return []
-        if isinstance(outcome, RDPoint):
-            cache.put(key, outcome)
-            points[qp] = outcome
-        else:  # recorded, and replayed from memory when deterministic
-            failures.append((qp, outcome))
-            cache.put_failure(key, outcome)
-        return [_ledger_record(key, job, digests, outcome, seconds, cached=False)]
+        seconds = time.perf_counter() - start
+        cache.put(key, outcome)
+        outcomes[qp] = outcome
+        return _ledger_record(key, job, digests, outcome, seconds, cached=False)
 
     if pool is None:
-        records = hits
-        for qp, job, key in pending:
-            records += settle(qp, job, key, lambda: run_one(job))
-        write(records)
+        write(hits + [run_one(*p) for p in pending])
     else:
         write(hits)
         # Completions arrive through done callbacks, not as_completed: a
@@ -553,21 +535,24 @@ def _sweep(
         futures = {}
         for qp, job, key in pending:
             try:
-                fut = pool.submit(run_one, job)
+                fut = pool.submit(run_one, qp, job, key)
             except RuntimeError as exc:  # the pool is shut down: its run is ending
-                failures.append((qp, exc))
+                outcomes[qp] = exc
                 continue
-            futures[fut] = (qp, job, key)
+            futures[fut] = qp
             fut.add_done_callback(done.put)
         for _ in futures:
             fut = done.get()
-            write(settle(*futures[fut], fut.result))
+            try:
+                write([fut.result()])
+            except CancelledError as exc:  # cancelled with its pool: nothing to record
+                outcomes[futures[fut]] = exc
 
-    if failures:
-        failures.sort(key=lambda f: f[0])
-        qp, exc = failures[0]
-        more = f" (+{len(failures) - 1} more)" if len(failures) > 1 else ""
-        message = f"encode failed at qp={qp}, k={k}{more}: {exc}"
+    failed = [qp for qp in config.qp_ladder if not isinstance(outcomes[qp], RDPoint)]
+    if failed:
+        exc = outcomes[failed[0]]
+        more = f" (+{len(failed) - 1} more)" if len(failed) > 1 else ""
+        message = f"encode failed at qp={failed[0]}, k={k}{more}: {exc}"
         if isinstance(exc, EncodeFailure) and exc.captured_output:
             message += "; stderr tail: " + " | ".join(exc.captured_output.splitlines()[-3:])
         error = SweepError(message)
@@ -580,7 +565,7 @@ def _sweep(
         k=k,
         group=config.group,
         scope=config.scope,
-        points=tuple(points[qp] for qp in config.qp_ladder),
+        points=tuple(outcomes[qp] for qp in config.qp_ladder),
     )
     return curve, len(pending)
 
@@ -836,43 +821,38 @@ def optimize_clips(
 def curves_from_ledger(records: list[dict]) -> list[RDCurve]:
     """Rebuild all complete RD curves recorded in a ledger.
 
-    Failed records are skipped; a record without status (written before
-    the field existed) is a point.  Records are deduplicated by cache_key
-    (last wins), then grouped by (clip, codec, k quantized to 1e-6, group,
-    scope, template digest, clip digest), so two encoder builds, or two
-    clip contents, under one clip id make two curves; a curve takes the k
-    of its group's first record.
+    Each record is read as PointCache reads it: one without status (written
+    before the field existed) is a point, and a failed one, or one that is
+    not a ledger record or whose point or curve fields do not read, is
+    skipped.  Records are deduplicated by cache_key (the last one wins, in
+    the order keys first appear), then grouped by (clip, codec, k quantized
+    to 1e-6, group, scope, template digest, clip digest), so two encoder
+    builds, or two clip contents, under one clip id make two curves; a curve
+    takes the k of its group's first record.
     """
-    latest: dict[str, dict] = {}
-    order: list[str] = []
+    latest: dict[str, tuple[tuple, float, RDPoint]] = {}
     for rec in records:
-        if rec.get("status", "ok") != "ok":
+        try:
+            key, point = rec["cache_key"], _outcome(rec)
+            if isinstance(point, RDPoint):
+                k = _json_field(rec, "k")
+                ident = (_json_field(rec, "clip", str),
+                         CodecId.parse(_json_field(rec, "codec", str)),
+                         _quantize_k(k),
+                         FrameTypeGroup.parse(_json_field(rec, "group", str)),
+                         LambdaScope.parse(_json_field(rec, "scope", str)),
+                         _json_field(rec, "template_digest", str, null=True),
+                         _json_field(rec, "clip_digest", str, null=True))
+                latest[key] = (ident, k, point)
+        except (ValueError, KeyError, TypeError):
             continue
-        key = rec["cache_key"]
-        if key not in latest:
-            order.append(key)
-        latest[key] = rec
 
     groups: dict[tuple, tuple[float, dict[int, RDPoint]]] = {}
-    for key in order:
-        rec = latest[key]
-        ident = (rec["clip"], rec["codec"], _quantize_k(rec["k"]), rec["group"], rec["scope"],
-                 rec.get("template_digest"), rec.get("clip_digest"))
-        point = RDPoint.from_dict(rec)
-        groups.setdefault(ident, (float(rec["k"]), {}))[1][point.qp] = point
-
-    curves = []
-    for (clip, codec, _kq, group, scope, *_digests), (k, by_qp) in groups.items():
-        if len(by_qp) < 2:
-            continue
-        curves.append(
-            RDCurve(
-                clip_id=clip,
-                codec=CodecId.parse(codec),
-                k=k,
-                group=FrameTypeGroup.parse(group),
-                scope=LambdaScope.parse(scope),
-                points=tuple(by_qp[qp] for qp in sorted(by_qp)),
-            )
-        )
-    return curves
+    for ident, k, point in latest.values():
+        groups.setdefault(ident, (k, {}))[1][point.qp] = point
+    return [
+        RDCurve(clip_id=clip, codec=codec, k=k, group=group, scope=scope,
+                points=tuple(by_qp[qp] for qp in sorted(by_qp)))
+        for (clip, codec, _kq, group, scope, *_digests), (k, by_qp) in groups.items()
+        if len(by_qp) >= 2
+    ]

@@ -150,19 +150,27 @@ class TestBrent:
             br = bracket_minimum(f, m + rng.uniform(0.5, 3.0), m + rng.uniform(3.5, 5.0))
             x, _, trace = brent_minimize(f, br, config)
             assert trace.converged
-            assert trace.iterations <= 50
+            assert len(trace.evaluations) <= 50
 
     def test_iteration_cap_returns_unconverged(self):
         config = OptimizerConfig(xtol=1e-15, max_iters=3)
         x, fx, trace = brent_minimize(quadratic, make_bracket(quadratic, 0.1, 1.0, 10.0), config)
         assert not trace.converged
-        assert trace.iterations == 3
+        assert len(trace.evaluations) == 3
         assert fx <= quadratic(1.0)
 
     def test_iterations_counts_evaluations(self):
+        # The trace holds every call brent_minimize makes to f, in order.
         config = OptimizerConfig(xtol=1e-4, max_iters=40)
-        _, _, trace = brent_minimize(quadratic, make_bracket(quadratic, 0.1, 1.0, 10.0), config)
-        assert trace.iterations == len(trace.evaluations)
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return quadratic(x)
+
+        _, _, trace = brent_minimize(f, make_bracket(quadratic, 0.1, 1.0, 10.0), config)
+        assert len(trace.evaluations) == len(calls)
+        assert [x for x, _ in trace.evaluations] == calls
 
 
 class TestFtol:

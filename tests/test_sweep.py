@@ -221,6 +221,21 @@ class TestPointCache:
         cache.put("k1", point)
         assert cache.get("k1") == point
 
+    def test_put_follows_the_rule_of_ledger_records(self):
+        # A deterministic failure is replayed, an EncodeFailure makes the
+        # key a miss again, and the first point wins over any later outcome.
+        cache = PointCache(None)
+        first = RDPoint.from_score(qp=39, bitrate_kbps=100.0, msssim=0.9)
+        cache.put("k", DomainError("m"))
+        replayed = cache.get("k")
+        assert isinstance(replayed, DomainError) and str(replayed) == "m"
+        cache.put("k", EncodeFailure("crashed", "stderr"))
+        assert cache.get("k") is None
+        cache.put("k", first)
+        cache.put("k", RDPoint.from_score(qp=39, bitrate_kbps=200.0, msssim=0.9))
+        cache.put("k", DomainError("m"))
+        assert cache.get("k") == first
+
     def test_disk_persistence(self, tmp_path):
         # A point persists through its ledger record alone, to a fresh store.
         curve = run_sweep("clip", 1.0, av1_config(cache_dir=tmp_path), synthetic_backend())
@@ -918,14 +933,28 @@ class TestFailureRecords:
         cache = PointCache(RunLedger(path))
         assert cache.get("good") == point
         assert cache.get("retry") is None
-        with pytest.raises(sweep.errors.OverlapError, match="^gone$"):
-            cache.get("replay")
+        replayed = cache.get("replay")
+        assert isinstance(replayed, sweep.errors.OverlapError) and str(replayed) == "gone"
 
     def test_lines_that_are_not_records_are_misses(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
         path.write_bytes(b'[]\n"failed"\n5\nnull\n{"status": "failed"}\n[{"cache_key": "a"}]\n')
         cache = PointCache(RunLedger(path))
         assert cache.get("a") is None
+
+    def test_point_recorded_elsewhere_beats_a_replayed_failure(self, tmp_path):
+        # Store a is served a replayed failure; store b, standing in for
+        # another process, then records a point under that key.  a's next
+        # get reads the ledger again although it knows the key.
+        path = tmp_path / "ledger.jsonl"
+        RunLedger(path).append({"cache_key": "k", "status": "failed", "error": "DomainError", "message": "m"})
+        a, b = PointCache(RunLedger(path)), PointCache(RunLedger(path))
+        replayed = a.get("k")
+        assert isinstance(replayed, DomainError) and str(replayed) == "m"
+        point = RDPoint.from_score(qp=39, bitrate_kbps=100.0, msssim=0.9)
+        b.put("k", point)
+        b.ledger.append({"cache_key": "k", "status": "ok", **point.to_dict()})
+        assert a.get("k") == point
 
     def test_records_without_status_or_digests_load_as_points(self, tmp_path):
         # Ledgers written before these fields existed.
@@ -1531,6 +1560,17 @@ class TestLedgerReplay:
         config = av1_config(cache_dir=tmp_path)
         curves = [run_sweep("clip", 1.0, config, Build(b, r0=r0)) for b, r0 in (("b1", 30000.0), ("b2", 40000.0))]
         assert curves_from_ledger(RunLedger.load(tmp_path / "ledger.jsonl")) == curves
+
+    def test_lines_that_are_not_records_are_skipped(self, tmp_path):
+        # Read as PointCache reads them: the lines the store skips add no
+        # point to a curve, and raise nothing.
+        cold = run_sweep("clip", 1.0, av1_config(cache_dir=tmp_path), synthetic_backend())
+        path = tmp_path / "ledger.jsonl"
+        without_clip = {f: v for f, v in RunLedger.load(path)[0].items() if f != "clip"}
+        with path.open("ab") as fh:
+            fh.write(b'[]\n"failed"\n5\nnull\n{"status": "failed"}\n[{"cache_key": "a"}]\n')
+            fh.write(b'{"status": "ok"}\n' + json.dumps(without_clip).encode() + b"\n")
+        assert curves_from_ledger(RunLedger.load(path)) == [cold]
 
     def test_failed_records_change_no_curve(self, tmp_path):
         optimize_clip("clip", av1_config(cache_dir=tmp_path), synthetic_backend(c=4.0, k_star=2.5))
