@@ -9,9 +9,11 @@ run ledger, which is sufficient to recompute every derived statistic and is
 the one persistent store: PointCache indexes the outcomes by
 content-addressed cache key, so a warm re-run, or another process sharing
 the cache dir, re-encodes nothing but the encodes whose child process
-failed.  A deterministic failure is replayed as the same error, so a warm
-re-run takes the same path through the search.  A sweep tables the
-outcome of each qp of its ladder, from the store or from an encode.
+failed.  Every ledger read skips a line that is not a JSON object, and a
+key's first ok record is its point.  A deterministic failure is replayed as
+the same error, so a warm re-run takes the same path through the search.
+A sweep tables the outcome of each qp of its ladder, from the store or
+from an encode.
 
 A sweep dispatches its cache misses in one of two ways, chosen by the
 backend's in_process attribute.  An in-process backend's encodes hold the
@@ -183,6 +185,18 @@ class SweepConfig:
 _record_json = json.JSONEncoder(sort_keys=True).encode
 
 
+def _records(lines: Iterable[bytes]) -> Iterator[dict]:
+    """Each line that parses as a JSON object; every other line (torn, not
+    JSON, not UTF-8, or not an object) is skipped."""
+    for line in lines:
+        try:
+            rec = json.loads(line.decode())
+        except (ValueError, RecursionError):
+            continue
+        if isinstance(rec, dict):
+            yield rec
+
+
 # The last line of the ledger is read back from its end in chunks of this
 # many bytes, so ending it on a newline costs the length of that line, not
 # of the file.
@@ -198,8 +212,8 @@ class RunLedger:
     writers in any number of processes never interleave or lose a line, and
     the records of one append are adjacent.  A last line with no newline is
     an append cut short by a crash: under the same lock, opening and every
-    append first end the file on a newline, cutting that line off unless it
-    parses.  With path=None records go nowhere.
+    append first end the file on a newline, cutting that line off unless
+    _records yields it.  With path=None records go nowhere.
 
     An in-process sweep appends its records once, after its last encode, so
     a crash in the middle of one loses at most the ladder's encodes of that
@@ -230,9 +244,9 @@ class RunLedger:
                 fcntl.flock(self._fd, fcntl.LOCK_UN)
 
     def _end_on_newline(self) -> int:
-        """Terminate an unterminated last line that parses; cut off one that
-        does not.  Returns the file's size after that.  The caller holds the
-        lock, so no append is in flight."""
+        """Terminate an unterminated last line that is a record; cut off one
+        that is not.  Returns the file's size after that.  The caller holds
+        the lock, so no append is in flight."""
         end = os.fstat(self._fd).st_size
         if end == 0 or os.pread(self._fd, 1, end - 1) == b"\n":
             return end
@@ -246,9 +260,7 @@ class RunLedger:
             if cut:
                 start += cut
                 break
-        try:
-            json.loads(b"".join(reversed(chunks)))
-        except ValueError:
+        if next(_records([b"".join(reversed(chunks))]), None) is None:
             os.ftruncate(self._fd, start)
             return start
         os.write(self._fd, b"\n")
@@ -289,21 +301,11 @@ class RunLedger:
 
     @staticmethod
     def load(path: Path | str) -> list[dict]:
-        """Parse every record.  A last line with no trailing newline that
-        does not parse is an append cut short by a crash and is skipped; a
-        corrupt line anywhere else raises."""
-        out = []
-        with Path(path).open() as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                try:
-                    out.append(json.loads(line))
-                except json.JSONDecodeError:
-                    # Only the last line can lack its newline.
-                    if line.endswith("\n"):
-                        raise
-        return out
+        """Every record at path, streamed through _records as the store
+        reads them, so a torn or damaged line anywhere is skipped.  Only a
+        file that cannot be read raises (OSError)."""
+        with Path(path).open("rb") as fh:
+            return list(_records(fh))
 
 
 # Failures replayed from the ledger, by class name: every RdtuneError but
@@ -347,9 +349,9 @@ class PointCache:
     outcome in memory only; the sweep's ledger record persists it.  Both
     follow one rule: a key's first point wins, and until then its last
     failure decides (an EncodeFailure, or an error that is not an
-    RdtuneError, makes it a miss).  A line that does not parse, is not a
-    ledger record or does not make a valid RDPoint is skipped, so its point
-    is re-encoded.  With no ledger (or one with no path) it is memory-only.
+    RdtuneError, makes it a miss).  A line _records skips, or a record with
+    no cache_key or readable outcome, is skipped, so its point is
+    re-encoded.  With no ledger (or one with no path) it is memory-only.
     """
 
     def __init__(self, ledger: RunLedger | None = None):
@@ -367,10 +369,9 @@ class PointCache:
             return self._known.get(key)
 
     def _index(self, data: bytes) -> None:
-        for line in data.splitlines():
+        for rec in _records(data.split(b"\n")[:-1]):  # data ends on a newline
             try:
-                rec = json.loads(line)
-                key = rec["cache_key"]  # TypeError unless a JSON object
+                key = rec["cache_key"]
                 if not isinstance(self._known.get(key), RDPoint):  # the first point wins
                     self._known[key] = _outcome(rec)
             except (ValueError, KeyError, TypeError):
@@ -821,20 +822,19 @@ def optimize_clips(
 def curves_from_ledger(records: list[dict]) -> list[RDCurve]:
     """Rebuild all complete RD curves recorded in a ledger.
 
-    Each record is read as PointCache reads it: one without status (written
-    before the field existed) is a point, and a failed one, or one that is
-    not a ledger record or whose point or curve fields do not read, is
-    skipped.  Records are deduplicated by cache_key (the last one wins, in
-    the order keys first appear), then grouped by (clip, codec, k quantized
+    Each record is read as PointCache reads it, so a key's first readable ok
+    record is its point (one without status, written before the field
+    existed, is ok); a failed record, or one whose point or curve fields do
+    not read, is skipped.  Points are grouped by (clip, codec, k quantized
     to 1e-6, group, scope, template digest, clip digest), so two encoder
     builds, or two clip contents, under one clip id make two curves; a curve
     takes the k of its group's first record.
     """
-    latest: dict[str, tuple[tuple, float, RDPoint]] = {}
+    first: dict[str, tuple[tuple, float, RDPoint]] = {}
     for rec in records:
         try:
-            key, point = rec["cache_key"], _outcome(rec)
-            if isinstance(point, RDPoint):
+            key = rec["cache_key"]
+            if key not in first and isinstance(point := _outcome(rec), RDPoint):
                 k = _json_field(rec, "k")
                 ident = (_json_field(rec, "clip", str),
                          CodecId.parse(_json_field(rec, "codec", str)),
@@ -843,12 +843,12 @@ def curves_from_ledger(records: list[dict]) -> list[RDCurve]:
                          LambdaScope.parse(_json_field(rec, "scope", str)),
                          _json_field(rec, "template_digest", str, null=True),
                          _json_field(rec, "clip_digest", str, null=True))
-                latest[key] = (ident, k, point)
+                first[key] = (ident, k, point)
         except (ValueError, KeyError, TypeError):
             continue
 
     groups: dict[tuple, tuple[float, dict[int, RDPoint]]] = {}
-    for ident, k, point in latest.values():
+    for ident, k, point in first.values():
         groups.setdefault(ident, (k, {}))[1][point.qp] = point
     return [
         RDCurve(clip_id=clip, codec=codec, k=k, group=group, scope=scope,
