@@ -76,4 +76,4 @@ print(f"wrote {OUT / 'best_clip.svg'}")
 
 ledger_records = rt.RunLedger.load(config.cache_dir / "ledger.jsonl")
 print(f"ledger holds {len(ledger_records)} encode records"
-      f" ({sum(1 for r in ledger_records if r['cached'])} cached)")
+      f" ({sum(1 for r in ledger_records if r.get('cached') is True)} cached)")

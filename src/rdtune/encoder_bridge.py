@@ -43,8 +43,6 @@ from .rd_curve import (
     _field_types,
     _is_json_number,
     _json_field,
-    db_to_msssim,
-    msssim_to_db,
 )
 
 __all__ = [
@@ -308,13 +306,7 @@ def encode_measure(job: EncodeJob, templates: CommandTemplate, clip: ClipInfo) -
             f"pooled msssim {msssim} outside (0, 1); cannot map to dB"
         )
     bitrate_kbps = size_bytes * 8.0 / clip.duration_seconds / 1000.0
-    return RDPoint(
-        qp=job.qp,
-        bitrate_kbps=bitrate_kbps,
-        msssim=msssim,
-        msssim_db=msssim_to_db(msssim),
-        vmaf=vmaf,
-    )
+    return RDPoint.from_score(job.qp, bitrate_kbps, msssim, vmaf)
 
 
 @dataclass(frozen=True)
@@ -399,13 +391,7 @@ def synth_encode(model: SyntheticClipModel, qp: int, k: float) -> RDPoint:
             "the model is outside its valid operating region"
         )
     vmaf = min(100.0, max(0.0, 4.0 * quality_db - 8.0))
-    return RDPoint(
-        qp=qp,
-        bitrate_kbps=bitrate,
-        msssim=db_to_msssim(quality_db),
-        msssim_db=quality_db,
-        vmaf=vmaf,
-    )
+    return RDPoint.from_db(qp, bitrate, quality_db, vmaf)
 
 
 class SyntheticEncoder:

@@ -21,12 +21,12 @@ GIL, so a thread pool could not overlap them and would only add hand-off
 cost: they run in ladder order on the calling thread, and the sweep's
 records (hits, fresh points, and the partials of a failed sweep) go to the
 ledger in one write.  A backend whose encodes run in child processes gets
-a pool of config.workers threads: one per optimize_clips call, shared by
-the searches of every clip it runs at once, so config.workers caps the
-concurrent encodes of the whole run; otherwise one per optimize_clip or
-run_sweep call.  Such a sweep's hits go to the ledger in one write, and
-each fresh point as soon as its encode completes, so a killed run loses no
-finished encode.
+a pool of config.workers threads by one rule (_encode_pool): the pool the
+caller passes (optimize_clips shares one among its searches, so
+config.workers caps the concurrent encodes of the whole run), else one per
+optimize_clip or run_sweep call.  Such a sweep's hits go to the ledger in
+one write, and each fresh point as soon as its encode completes, so a
+killed run loses no finished encode.
 Every job carries work_dir <cache-dir>/work (None without a cache dir):
 each external encode makes its own temporary directory there (or in the
 system temp dir) and removes it when done; the synthetic backend writes
@@ -57,8 +57,7 @@ import os
 import threading
 import time
 import weakref
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, CancelledError, Future, ThreadPoolExecutor, wait
+from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -466,11 +465,12 @@ def _ledger_record(
     }
 
 
-def _encode_pool(config: SweepConfig, backend: EncoderBackend):
-    """Context giving the encode pool of one call: config.workers threads
-    for a backend over child processes, None for an in-process one."""
-    if backend.in_process:
-        return nullcontext()
+def _encode_pool(config: SweepConfig, backend: EncoderBackend, pool: ThreadPoolExecutor | None = None):
+    """Context giving the encode pool of one call: the pool passed in, None
+    for an in-process backend, and otherwise a new pool of config.workers
+    threads, shut down when the call ends."""
+    if pool is not None or backend.in_process:
+        return nullcontext(pool)
     return ThreadPoolExecutor(max_workers=config.workers)
 
 
@@ -621,7 +621,7 @@ def evaluate_cost(
     if _quantize_k(k) == _quantize_k(1.0):
         return TrialRecord(k=1.0, curve=reference_curve, cost=0.0, encoder_invocations=0)
     cache = cache or _default_store(config.cache_dir)
-    with nullcontext(pool) if pool is not None else _encode_pool(config, backend) as pool:
+    with _encode_pool(config, backend, pool) as pool:
         curve, fresh = _sweep(clip_id, k, config, backend, cache, pool)
     try:
         cost = bd_rate(reference_curve, curve)
@@ -717,7 +717,7 @@ def optimize_clip(
     cache = _default_store(config.cache_dir)
     trials: list[TrialRecord] = []
     failed_encodes = 0
-    with nullcontext(pool) if pool is not None else _encode_pool(config, backend) as pool:
+    with _encode_pool(config, backend, pool) as pool:
         reference, _ = _sweep(clip_id, 1.0, config, backend, cache, pool)
 
         def cost(ln_k: float) -> float:
@@ -773,22 +773,24 @@ def optimize_clips(
     An in-process backend's clips are searched one after another on the
     calling thread.  For a backend over child processes the call opens one
     pool of config.workers threads, shared by all its searches, so
-    config.workers caps the concurrent encodes of the whole run; and up to
-    ceil(workers / ladder length) + 1 searches run at once, so that the
-    pool has encodes queued while a search waits on its sweep's last
-    encode or computes between sweeps.  Each search is an optimize_clip
-    call, so a result does not depend on the order in which searches
-    complete.  The one exception: clips with identical content share cache
-    keys, and which of two concurrent searches encodes a point they share,
-    so their invocation counts, can depend on timing.
+    config.workers caps the concurrent encodes of the whole run.  It maps
+    the searches, in clip_ids order (read in full at the first next()),
+    over ceil(workers / ladder length) + 1 runner threads, so that the pool
+    has encodes queued while a search waits on its sweep's last encode or
+    computes between sweeps; a search starts when a runner thread frees
+    up, also while the consumer handles a result.  Each search is an
+    optimize_clip call, so a result does not depend on the order in which
+    searches complete.  The one exception: clips with identical content
+    share cache keys, and which of two concurrent searches encodes a point
+    they share, so their invocation counts, can depend on timing.
 
     The first clip, in clip_ids order, whose search raises ends the call
     with its error, after the results of the clips before it.  Once any
     search has raised, no further search starts.  When the call ends this
     way, or by an interrupt, or because the consumer closes the generator,
-    queued encodes are cancelled, running searches submit no new sweep,
-    and the call waits only for the encodes already running.  A ladder too
-    short for BD-Rate raises ValueError before any encode.
+    queued searches and encodes are cancelled, running searches submit no
+    new sweep, and the call waits only for the encodes already running.  A
+    ladder too short for BD-Rate raises ValueError before any encode.
     """
     _require_bd_ladder(config)
     if backend.in_process:
@@ -796,23 +798,21 @@ def optimize_clips(
             yield optimize_clip(clip_id, config, backend)
         return
     searches = math.ceil(config.workers / len(config.qp_ladder)) + 1
-    clips = iter(clip_ids)
-    started: deque = deque()  # futures of searches not yet yielded, in clip order
+    failed = threading.Event()
     pool = ThreadPoolExecutor(max_workers=config.workers)
     runner = ThreadPoolExecutor(max_workers=searches)
+
+    def search(clip_id: str) -> OptimizationResult | None:
+        if failed.is_set():  # an earlier clip's error ends the call first
+            return None
+        try:
+            return optimize_clip(clip_id, config, backend, pool=pool)
+        except BaseException:
+            failed.set()
+            raise
+
     try:
-        while True:
-            while started and started[0].done():
-                yield started.popleft().result()  # raises the search's error
-            running = [f for f in started if not f.done()]
-            failed = any(f.done() and f.exception() is not None for f in started)
-            clip_id = next(clips, None) if len(running) < searches and not failed else None
-            if clip_id is not None:
-                started.append(runner.submit(optimize_clip, clip_id, config, backend, pool=pool))
-            elif running:
-                wait(running, return_when=FIRST_COMPLETED)
-            else:
-                return
+        yield from runner.map(search, clip_ids)
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
         runner.shutdown(cancel_futures=True)

@@ -1469,6 +1469,20 @@ class TestOptimizeClips:
         assert threading.active_count() == threads
         assert "clip3" not in {clip for clip, _, _ in backend.calls}
 
+    def test_searches_run_while_the_consumer_holds_a_result(self, tmp_path):
+        # After clip0's result, the queued searches start as runner threads
+        # free up, with no further next() asking for them.
+        delays = dict.fromkeys(CLIP_MODELS, 0.01)
+        delays["clip0"] = 0.0
+        backend = pooled(ClipSet(CLIP_MODELS, delays))
+        results = optimize_clips(list(CLIP_MODELS), av1_config(cache_dir=tmp_path, workers=2), backend)
+        assert next(results).clip_id == "clip0"
+        deadline = time.monotonic() + 20.0
+        while "clip3" not in {clip for clip, _, _ in backend.calls}:
+            assert time.monotonic() < deadline, "clip3 never encoded while the consumer held clip0"
+            time.sleep(0.01)
+        assert [r.clip_id for r in results] == ["clip1", "clip2", "clip3"]
+
 
 class TestBudget:
     # A cold run costs P*N*M encodes: P probes, N ladder points, M clips.
