@@ -430,9 +430,7 @@ class ExternalEncoder:
     def __init__(self, templates: CommandTemplate, manifest: dict[str, ClipInfo]):
         self.templates = templates
         self.manifest = manifest
-        self.invocations = 0
         self._clip_digests: dict[str, str] = {}
-        self._count_lock = threading.Lock()
 
     def _clip(self, clip_id: str) -> ClipInfo:
         try:
@@ -441,8 +439,6 @@ class ExternalEncoder:
             raise ManifestError(f"clip {clip_id!r} not present in the manifest") from None
 
     def measure(self, job: EncodeJob) -> RDPoint:
-        with self._count_lock:
-            self.invocations += 1
         return encode_measure(job, self.templates, self._clip(job.clip_id))
 
     def clip_digest(self, clip_id: str) -> str:

@@ -9,11 +9,13 @@ run ledger, which is sufficient to recompute every derived statistic and is
 the one persistent store: PointCache indexes the outcomes by
 content-addressed cache key, so a warm re-run, or another process sharing
 the cache dir, re-encodes nothing but the encodes whose child process
-failed.  Every ledger read skips a line that is not a JSON object, and a
-key's first ok record is its point.  A deterministic failure is replayed as
-the same error, so a warm re-run takes the same path through the search.
-A sweep tables the outcome of each qp of its ladder, from the store or
-from an encode.
+failed.  The ledger keeps its store's read position, and moves it past an
+append that starts there, so a store does not parse its own records again
+unless another process appended in between.  Every ledger read skips a
+line that is not a JSON object, and a key's first ok record is its point.
+A deterministic failure is replayed as the same error, so a warm re-run
+takes the same path through the search.  A sweep tables the outcome of
+each qp of its ladder, from the store or from an encode.
 
 A sweep dispatches its cache misses in one of two ways, chosen by the
 backend's in_process attribute.  An in-process backend's encodes hold the
@@ -214,6 +216,12 @@ class RunLedger:
     append first end the file on a newline, cutting that line off unless
     _records yields it.  With path=None records go nowhere.
 
+    It keeps the read position of the one store that indexes it:
+    _read_new() returns the complete lines written since the last read, by
+    any process.  An append that starts at the position moves it past its
+    own records, whose outcomes the store holds; one that starts after
+    another process's lines leaves it, and the next read returns both.
+
     An in-process sweep appends its records once, after its last encode, so
     a crash in the middle of one loses at most the ladder's encodes of that
     sweep (5 synthetic encodes on the default ladders, about 150 us of
@@ -225,6 +233,7 @@ class RunLedger:
         self.path = Path(path) if path is not None else None
         self._fd: int | None = None
         self._pid = os.getpid()
+        self._read_to = 0
         self._lock = threading.Lock()
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -265,26 +274,29 @@ class RunLedger:
         os.write(self._fd, b"\n")
         return end + 1
 
-    def append(self, *records: dict) -> tuple[int, int]:
-        """Write the records, one line each, as one append; returns the byte
-        span [start, end) they occupy in the file ((0, 0) with no file)."""
+    def append(self, *records: dict) -> None:
+        """Write the records, one line each, as one append."""
         if self._fd is None:
-            return 0, 0
+            return
         data = "".join(_record_json(r) + "\n" for r in records).encode()
         with self._locked():
             start = self._end_on_newline()
             rest = data
             while rest:
                 rest = rest[os.write(self._fd, rest):]
-        return start, start + len(data)
+            if self._read_to == start:
+                self._read_to = start + len(data)
 
-    def _read_from(self, offset: int) -> bytes:
-        """The complete lines written at or after byte `offset`, by any writer."""
+    def _read_new(self) -> bytes:
+        """The complete lines written since the last read (see the class)."""
         if self._fd is None:
             return b""
-        end = os.fstat(self._fd).st_size
-        data = os.pread(self._fd, end - offset, offset) if end > offset else b""
-        return data[: data.rfind(b"\n") + 1]
+        with self._lock:
+            start, end = self._read_to, os.fstat(self._fd).st_size
+            data = os.pread(self._fd, end - start, start) if end > start else b""
+            data = data[: data.rfind(b"\n") + 1]
+            self._read_to += len(data)
+        return data
 
     def _is_current(self) -> bool:
         """The path still names the file this ledger has open, and this is
@@ -342,9 +354,10 @@ class PointCache:
 
     get() returns the key's point, its replayed failure (an error of the
     recorded class and message: the encode is not run), or None for a miss.
-    While it knows no point for the key, it first indexes the complete lines
-    appended to the ledger since its last read, by any process, so a point
-    recorded elsewhere beats a failure already known here.  put() indexes an
+    While it knows no point for the key, it first indexes the lines the
+    ledger's _read_new() returns, those appended since the last read by
+    any process, so a point recorded elsewhere beats a failure already
+    known here.  Each store needs a RunLedger of its own.  put() indexes an
     outcome in memory only; the sweep's ledger record persists it.  Both
     follow one rule: a key's first point wins, and until then its last
     failure decides (an EncodeFailure, or an error that is not an
@@ -356,15 +369,12 @@ class PointCache:
     def __init__(self, ledger: RunLedger | None = None):
         self.ledger = ledger if ledger is not None else RunLedger(None)
         self._known: dict[str, RDPoint | RdtuneError | None] = {}
-        self._read_to = 0
         self._lock = threading.Lock()
 
     def get(self, key: str) -> RDPoint | RdtuneError | None:
         with self._lock:
             if not isinstance(self._known.get(key), RDPoint):
-                data = self.ledger._read_from(self._read_to)
-                self._read_to += len(data)
-                self._index(data)
+                self._index(self.ledger._read_new())
             return self._known.get(key)
 
     def _index(self, data: bytes) -> None:
@@ -383,21 +393,10 @@ class PointCache:
             if not isinstance(self._known.get(key), RDPoint):  # the first point wins
                 self._known[key] = outcome
 
-    def _skip(self, span: tuple[int, int]) -> None:
-        """Mark the ledger bytes [start, end) read, when they start where
-        the last read ended.  For records of outcomes this store already
-        holds (a sweep's own append): parsing them would add nothing.  A
-        span elsewhere holds, or follows, lines not yet read; those are
-        parsed on the next miss as usual."""
-        start, end = span
-        with self._lock:
-            if self._read_to == start:
-                self._read_to = end
 
-
-# The store of the last cache dir used without an explicit store.  The CLI
-# and batch scripts call optimize_clip once per clip; keeping the store
-# open means the ledger is parsed once in all, not once per clip.
+# The store of the last cache dir used without an explicit store, which
+# every search looks up (optimize_clips', or a caller's optimize_clip per
+# clip); kept open, the ledger is parsed once in all, not once per clip.
 _open_store: PointCache | None = None
 _open_store_lock = threading.Lock()
 
@@ -505,10 +504,6 @@ def _sweep(
             outcomes[qp] = outcome
             hits.append(_ledger_record(key, job, digests, outcome, 0.0, cached=True))
 
-    def write(records: list[dict]) -> None:
-        if records:
-            cache._skip(cache.ledger.append(*records))
-
     def run_one(qp: int, job: EncodeJob, key: str) -> dict:
         """Encode job, then index and table its point, or the error it
         failed with; returns its ledger record."""
@@ -526,9 +521,10 @@ def _sweep(
         return _ledger_record(key, job, digests, outcome, seconds, cached=False)
 
     if pool is None:
-        write(hits + [run_one(*p) for p in pending])
+        cache.ledger.append(*hits, *(run_one(*p) for p in pending))
     else:
-        write(hits)
+        if hits:
+            cache.ledger.append(*hits)
         # Completions arrive through done callbacks, not as_completed: a
         # future that shutdown(cancel_futures=True) cancels never reaches
         # as_completed, but it does run its callbacks.
@@ -545,7 +541,7 @@ def _sweep(
         for _ in futures:
             fut = done.get()
             try:
-                write([fut.result()])
+                cache.ledger.append(fut.result())
             except CancelledError as exc:  # cancelled with its pool: nothing to record
                 outcomes[futures[fut]] = exc
 
@@ -716,19 +712,12 @@ def optimize_clip(
     _require_bd_ladder(config)
     cache = _default_store(config.cache_dir)
     trials: list[TrialRecord] = []
-    failed_encodes = 0
+    failed_encodes = 0  # those of the probe that failed, which ends the search
     with _encode_pool(config, backend, pool) as pool:
         reference, _ = _sweep(clip_id, 1.0, config, backend, cache, pool)
 
         def cost(ln_k: float) -> float:
-            nonlocal failed_encodes
-            try:
-                trial = evaluate_cost(
-                    clip_id, math.exp(ln_k), reference, config, backend, cache, pool=pool
-                )
-            except RdtuneError as exc:
-                failed_encodes += getattr(exc, "fresh_encodes", 0)
-                raise
+            trial = evaluate_cost(clip_id, math.exp(ln_k), reference, config, backend, cache, pool=pool)
             trials.append(trial)
             return trial.cost
 
@@ -738,8 +727,9 @@ def optimize_clip(
             stop_reason = "converged" if trace.converged else "max_iters"
         except BracketError:
             stop_reason = "no_bracket"
-        except RdtuneError:
+        except RdtuneError as exc:
             stop_reason = "failed_probe"
+            failed_encodes = getattr(exc, "fresh_encodes", 0)
 
     if not any(_quantize_k(t.k) == _quantize_k(1.0) for t in trials):
         trials.insert(0, TrialRecord(k=1.0, curve=reference, cost=0.0, encoder_invocations=0))

@@ -523,8 +523,9 @@ class TestBackends:
                              cache_dir=tmp_path / "cache")
 
         def sweep_at(info):
+            log.write_text("")
             backend = ExternalEncoder(stub_templates(enc, met, log), {info.id: info})
-            return run_sweep(info.id, 1.0, config, backend), backend.invocations
+            return run_sweep(info.id, 1.0, config, backend), len(log.read_text().splitlines())
 
         at_25, encodes = sweep_at(clip)
         assert encodes == 2

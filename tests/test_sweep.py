@@ -427,14 +427,14 @@ class TestStoreAndPool:
         # holds every point its own process appended, so it reads none of
         # those lines back, on either dispatch path.
         lines_read = []
-        _read_from = RunLedger._read_from
+        _read_new = RunLedger._read_new
 
-        def counting(self, offset):
-            data = _read_from(self, offset)
+        def counting(self):
+            data = _read_new(self)
             lines_read.append(data.count(b"\n"))
             return data
 
-        monkeypatch.setattr(RunLedger, "_read_from", counting)
+        monkeypatch.setattr(RunLedger, "_read_new", counting)
         config = av1_config(cache_dir=tmp_path)
         for i in range(20):
             backend = synthetic_backend(f"clip{i}")
@@ -677,24 +677,39 @@ class TestLedgerBatching:
         assert errors == []
         assert sorted(r["qp"] for r in RunLedger.load(path)) == [27, 39, 49, 59, 63]
 
-    def test_append_returns_its_span(self, tmp_path):
+    def test_own_append_after_another_writer_leaves_both_unread(self, tmp_path):
+        # A store's own append counts as read only when it starts where the
+        # last read ended: one that follows another writer's point must not
+        # carry that point past the read position unindexed.
+        path = tmp_path / "ledger.jsonl"
+        point = synth_encode(SyntheticClipModel(), 39, 1.0)
+        RunLedger(path).append({"cache_key": "w", **point.to_dict()})
+        store = PointCache(RunLedger(path))
+        assert store.get("w") == point  # read to the end of the ledger
+        RunLedger(path).append({"cache_key": "x", **point.to_dict()})
+        store.ledger.append({"cache_key": "y", **point.to_dict()})
+        assert store.get("x") == point
+
+    def test_read_new_after_own_appends(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
         ledger = RunLedger(path)
-        first = ledger.append({"cache_key": "a"})
-        assert first == (0, path.stat().st_size)
-        start, end = ledger.append({"cache_key": "b"}, {"cache_key": "c"})
-        assert (start, end) == (first[1], path.stat().st_size)
-        assert [json.loads(line)["cache_key"] for line in path.read_bytes()[start:end].splitlines()] == ["b", "c"]
-        # After a torn tail is cut off, or a parsing one ended, the span
-        # starts where the new records do.
-        for tail, kept in ((b'{"cache_key": "t', 0), (b'{"cache_key": "u"}', 1)):
-            size = path.stat().st_size
-            with path.open("ab") as fh:
-                fh.write(tail)
-            span = ledger.append({"cache_key": "d"})
-            assert span == (size + kept * (len(tail) + 1), path.stat().st_size)
-            assert json.loads(path.read_bytes()[span[0]:span[1]]) == {"cache_key": "d"}
-        assert RunLedger(None).append({"cache_key": "e"}) == (0, 0)
+        ledger.append({"cache_key": "a"})
+        ledger.append({"cache_key": "b"}, {"cache_key": "c"})
+        assert ledger._read_new() == b""
+        # A torn tail is cut off, so the next append still starts at the read
+        # position; a parsing tail is ended, and the next read returns it and
+        # the append after it.
+        with path.open("ab") as fh:
+            fh.write(b'{"cache_key": "t')
+        ledger.append({"cache_key": "d"})
+        assert ledger._read_new() == b""
+        with path.open("ab") as fh:
+            fh.write(b'{"cache_key": "u"}')
+        ledger.append({"cache_key": "e"})
+        assert ledger._read_new() == b'{"cache_key": "u"}\n{"cache_key": "e"}\n'
+        assert [r["cache_key"] for r in RunLedger.load(path)] == ["a", "b", "c", "d", "u", "e"]
+        assert RunLedger(None).append({"cache_key": "f"}) is None
+        assert RunLedger(None)._read_new() == b""
 
 
 class TestRunLedger:
@@ -1175,6 +1190,16 @@ class TestOptimizeClip:
         baseline = result.trials[0]
         assert (baseline.k, baseline.cost, baseline.encoder_invocations) == (1.0, 0.0, 0)
         assert baseline.curve == result.reference_curve
+
+    def test_failed_bd_rate_counts_its_encodes(self, tmp_path):
+        # The k=0.5 probe's sweep succeeds, but its curve shares no quality
+        # interval with the reference, so its BD-Rate raises OverlapError:
+        # the search ends there, and the probe's 5 encodes are counted.
+        backend = synthetic_backend(s0=40.0, c=6.5)
+        result = optimize_clip("clip", av1_config(cache_dir=tmp_path), backend)
+        assert result.stop_reason == "failed_probe"
+        assert result.total_invocations == 5
+        assert backend.invocations == 5 + 5
 
     def test_stop_reason_max_iters(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sweep, "DEFAULT_OPTIMIZER", replace(DEFAULT_OPTIMIZER, xtol=1e-9, max_iters=3, ftol=0.0))
