@@ -246,7 +246,9 @@ def parse_metric_report(report_bytes: bytes | str) -> tuple[float, float | None]
     return float(msssim), None if vmaf is None else float(vmaf)
 
 
-def _run_child(argv: list[str], label: str) -> None:
+def _run_child(argv: list[str], label: str, scratch: str) -> None:
+    """Run one tool of an encode.  A failure's message shows the encode's
+    temporary directory, named anew on every run, as <scratch>."""
     try:
         proc = subprocess.run(argv, capture_output=True)
     except OSError as exc:
@@ -255,7 +257,8 @@ def _run_child(argv: list[str], label: str) -> None:
         # Child output need not be UTF-8; only a failure's tail is decoded.
         tail = (proc.stderr or proc.stdout).decode(errors="replace").strip()[-2000:]
         raise EncodeFailure(
-            f"{label} exited with status {proc.returncode}: {' '.join(argv)}", tail
+            f"{label} exited with status {proc.returncode}: "
+            + " ".join(argv).replace(scratch, "<scratch>"), tail
         )
 
 
@@ -266,7 +269,9 @@ def encode_measure(job: EncodeJob, templates: CommandTemplate, clip: ClipInfo) -
     the bitrate from output size and clip duration.  Each call works in a
     temporary directory of its own, made under job.work_dir (created if
     missing) or the system temp dir, and removed with the output and
-    report files afterwards; a failed removal never fails the encode.
+    report files afterwards; a failed removal never fails the encode.  A
+    failure's message shows that directory as <scratch>, so the same
+    failure reads the same on every run.
     """
     if not clip.path.exists():
         raise EncodeFailure(f"input clip {clip.path} does not exist")
@@ -291,15 +296,16 @@ def encode_measure(job: EncodeJob, templates: CommandTemplate, clip: ClipInfo) -
             {"reference": str(clip.path), "distorted": str(output), "report": str(report)},
         )
 
-        _run_child(enc_argv, "encoder")
+        _run_child(enc_argv, "encoder", scratch)
         if not output.exists() or output.stat().st_size == 0:
-            raise EncodeFailure(f"encoder produced no output at {output}")
+            raise EncodeFailure(f"encoder produced no output at <scratch>/{output.name}")
         size_bytes = output.stat().st_size
-        _run_child(met_argv, "metric tool")
+        _run_child(met_argv, "metric tool", scratch)
         try:
             report_bytes = report.read_bytes()
         except OSError as exc:
-            raise MetricReportError(f"metric tool wrote no report at {report}: {exc}") from exc
+            raise MetricReportError(
+                f"metric tool wrote no report at <scratch>/{report.name}: {exc.strerror}") from exc
     msssim, vmaf = parse_metric_report(report_bytes)
     if not (0.0 < msssim < 1.0):
         raise MetricReportError(

@@ -27,8 +27,8 @@ a pool of config.workers threads by one rule (_encode_pool): the pool the
 caller passes (optimize_clips shares one among its searches, so
 config.workers caps the concurrent encodes of the whole run), else one per
 optimize_clip or run_sweep call.  Such a sweep's hits go to the ledger in
-one write, and each fresh point as soon as its encode completes, so a
-killed run loses no finished encode.
+one write, and each encode's record is appended by the pool thread that
+ran it, as soon as it completes, so a killed run loses no finished encode.
 Every job carries work_dir <cache-dir>/work (None without a cache dir):
 each external encode makes its own temporary directory there (or in the
 system temp dir) and removes it when done; the synthetic backend writes
@@ -59,11 +59,10 @@ import os
 import threading
 import time
 import weakref
-from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from queue import SimpleQueue
 from typing import Iterable, Iterator, Protocol
 
 from . import errors
@@ -170,8 +169,8 @@ class SweepConfig:
                 raise ValueError(f"qp {qp!r} is not an integer in [{lo}, {hi}] for {self.codec.value}")
         if list(ladder) != sorted(set(ladder)):
             raise ValueError(f"qp_ladder must be strictly ascending, got {ladder}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {self.workers}")
+        if not isinstance(self.workers, int) or isinstance(self.workers, bool) or self.workers < 1:
+            raise ValueError(f"workers {self.workers!r} is not an integer of at least 1")
         if not self.group.valid_for(self.codec):
             raise ValueError(f"group {self.group.value} invalid for codec {self.codec.value}")
 
@@ -225,8 +224,8 @@ class RunLedger:
     An in-process sweep appends its records once, after its last encode, so
     a crash in the middle of one loses at most the ladder's encodes of that
     sweep (5 synthetic encodes on the default ladders, about 150 us of
-    work).  A sweep over child processes appends each encode as it
-    completes.
+    work).  In a sweep over child processes, each encode's pool thread
+    appends its record as the encode completes.
     """
 
     def __init__(self, path: Path | None = None):
@@ -484,9 +483,12 @@ def _sweep(
     """Measure the full ladder for one (clip, k), encoding cache misses on
     `pool`, or in ladder order on this thread when it is None; returns
     (curve, fresh_encodes).  Store hits, replayed failures and encodes all
-    go into one table qp -> outcome.  A failed sweep raises SweepError naming
-    its first failed qp in ladder order; its fresh_encodes counts the
-    encodes it dispatched."""
+    go into one table qp -> outcome.  A pooled encode's task appends its own
+    record; the sweep waits on the tasks in ladder order.  A failed sweep
+    raises SweepError naming its first failed qp in ladder order; its
+    fresh_encodes counts the encodes it dispatched.  A shut-down pool's
+    RuntimeError (from submit) or CancelledError (for a cancelled encode)
+    propagates instead; an encode already running still records itself."""
     digests = {"template_digest": backend.template_digest(),
                "clip_digest": backend.clip_digest(clip_id)}
     work_dir = None if config.cache_dir is None else config.cache_dir / "work"
@@ -525,25 +527,9 @@ def _sweep(
     else:
         if hits:
             cache.ledger.append(*hits)
-        # Completions arrive through done callbacks, not as_completed: a
-        # future that shutdown(cancel_futures=True) cancels never reaches
-        # as_completed, but it does run its callbacks.
-        done: SimpleQueue[Future] = SimpleQueue()
-        futures = {}
-        for qp, job, key in pending:
-            try:
-                fut = pool.submit(run_one, qp, job, key)
-            except RuntimeError as exc:  # the pool is shut down: its run is ending
-                outcomes[qp] = exc
-                continue
-            futures[fut] = qp
-            fut.add_done_callback(done.put)
-        for _ in futures:
-            fut = done.get()
-            try:
-                cache.ledger.append(fut.result())
-            except CancelledError as exc:  # cancelled with its pool: nothing to record
-                outcomes[futures[fut]] = exc
+        futures = [pool.submit(lambda p: cache.ledger.append(run_one(*p)), p) for p in pending]
+        for fut in futures:
+            fut.result()
 
     failed = [qp for qp in config.qp_ladder if not isinstance(outcomes[qp], RDPoint)]
     if failed:
@@ -778,9 +764,11 @@ def optimize_clips(
     with its error, after the results of the clips before it.  Once any
     search has raised, no further search starts.  When the call ends this
     way, or by an interrupt, or because the consumer closes the generator,
-    queued searches and encodes are cancelled, running searches submit no
-    new sweep, and the call waits only for the encodes already running.  A
-    ladder too short for BD-Rate raises ValueError before any encode.
+    queued searches and encodes are cancelled, and the call waits only for
+    the encodes already running, each of which still appends its record; a
+    running search ends at its next sweep, with the shut-down pool's
+    RuntimeError or CancelledError.  A ladder too short for BD-Rate raises
+    ValueError before any encode.
     """
     _require_bd_ladder(config)
     if backend.in_process:

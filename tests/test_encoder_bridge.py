@@ -477,6 +477,28 @@ class TestEncodeMeasure:
         assert (record["status"], record["error"], record["qp"]) == ("failed", "CurveDataError", 39)
         assert "vmaf must be finite" in record["message"]
 
+    @pytest.mark.parametrize("tool, stub", [("encoder", FAILING_ENCODER_STUB),
+                                            ("encoder", "pass\n"), ("metric", "pass\n")],
+                             ids=["encoder_fails", "no_output", "no_report"])
+    def test_failure_message_is_the_same_on_every_run(self, stub_tools, tmp_path, tool, stub):
+        # Each encode's temporary directory is named anew, and a replayed
+        # MetricReportError would name one that no longer exists.
+        enc, met, clip, log = stub_tools
+        bad = tmp_path / "bad_tool.py"
+        bad.write_text(stub)
+        templates = stub_templates(bad, met, log) if tool == "encoder" else stub_templates(enc, bad, log)
+        messages = []
+        for cache in ("cache_a", "cache_b"):
+            config = SweepConfig(codec=CodecId.AV1, qp_ladder=(27, 39), workers=2,
+                                 cache_dir=tmp_path / cache)
+            with pytest.raises(SweepError):
+                run_sweep(clip.id, 1.0, config, ExternalEncoder(templates, {clip.id: clip}))
+            records = RunLedger.load(tmp_path / cache / "ledger.jsonl")
+            messages.append(sorted(r["message"] for r in records))
+        assert messages[0] == messages[1]
+        assert len(messages[0]) == 2
+        assert all("<scratch>" in m and "work/tmp" not in m for m in messages[0])
+
     def test_missing_input_clip(self, stub_tools, tmp_path):
         enc, met, clip, log = stub_tools
         templates = stub_templates(enc, met, log)

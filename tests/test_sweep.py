@@ -10,7 +10,7 @@ import tempfile
 import threading
 import time
 import weakref
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -147,6 +147,9 @@ class TestSweepConfig:
             dict(qp_ladder=(27.9, 39, 49, 59)),
             dict(qp_ladder=(27, "39", 49, 59)),
             dict(qp_ladder=(True, 39, 49, 59)),
+            dict(workers=2.5),
+            dict(workers=True),
+            dict(workers="3"),
         ],
     )
     def test_validation(self, kwargs):
@@ -676,6 +679,92 @@ class TestLedgerBatching:
         assert not thread.is_alive()
         assert errors == []
         assert sorted(r["qp"] for r in RunLedger.load(path)) == [27, 39, 49, 59, 63]
+
+    def test_pool_threads_append_under_contention(self, tmp_path):
+        # Each pooled encode's thread appends its own record: with more
+        # threads than cores and a short switch interval, every encode is
+        # in the ledger once, and a store opened on it encodes nothing.
+        path = tmp_path / "ledger.jsonl"
+        config = av1_config(cache_dir=tmp_path, workers=8)
+        backend = pooled(synthetic_backend())
+        store = PointCache(RunLedger(path))
+        ks = [1.0 + i / 8 for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as sweeps:
+                curves = list(sweeps.map(lambda k: run_sweep("clip", k, config, backend, store), ks,
+                                         timeout=60.0))
+        finally:
+            sys.setswitchinterval(interval)
+        keys = [r["cache_key"] for r in RunLedger.load(path)]
+        assert len(keys) == len(set(keys)) == backend.invocations == 5 * len(ks)
+        warm = pooled(synthetic_backend())
+        fresh = PointCache(RunLedger(path))
+        assert [run_sweep("clip", k, config, warm, fresh) for k in ks] == curves
+        assert warm.invocations == 0
+
+    def test_pool_shut_down_mid_sweep_keeps_every_finished_encode(self, tmp_path):
+        # optimize_clips shuts its pool down when its run ends early: queued
+        # encodes are cancelled, and each one already running still leaves
+        # its record when it completes.
+        blocking, release = threading.Event(), threading.Event()
+        entered, submitted = threading.Semaphore(0), threading.Semaphore(0)
+
+        class Pool(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                fut = super().submit(fn, *args, **kwargs)
+                submitted.release()
+                return fut
+
+        class Blocking(SyntheticEncoder):
+            in_process = False
+
+            def measure(self, job):
+                if blocking.is_set():
+                    entered.release()
+                    release.wait(timeout=60.0)
+                return super().measure(job)
+
+        config = av1_config(cache_dir=tmp_path, workers=2)
+        backend = Blocking(SyntheticClipModel(), "clip")
+        reference = run_sweep("clip", 1.0, config, backend)
+        blocking.set()
+        pool = Pool(2)
+        errors: list[BaseException] = []
+
+        def run():
+            try:
+                evaluate_cost("clip", 1.7, reference, config, backend, pool=pool)
+            except BaseException as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        try:
+            # Shut down once all 5 encodes are submitted and 2 of them run.
+            for semaphore in [submitted] * 5 + [entered] * 2:
+                assert semaphore.acquire(timeout=30.0)
+            pool.shutdown(wait=False, cancel_futures=True)
+        finally:
+            release.set()
+            thread.join(timeout=60.0)
+            pool.shutdown()  # the running encodes have completed
+        assert not thread.is_alive()
+        assert [type(e) for e in errors] == [CancelledError]
+        assert sum(r["k"] == 1.7 for r in RunLedger.load(tmp_path / "ledger.jsonl")) == 2
+        assert backend.invocations == 5 + 2
+
+    def test_pool_shut_down_before_the_sweep_records_nothing(self, tmp_path):
+        config = av1_config(cache_dir=tmp_path, workers=2)
+        backend = pooled(synthetic_backend())
+        reference = run_sweep("clip", 1.0, config, backend)
+        pool = ThreadPoolExecutor(2)
+        pool.shutdown()
+        with pytest.raises(RuntimeError):
+            evaluate_cost("clip", 1.7, reference, config, backend, pool=pool)
+        assert not any(r["k"] == 1.7 for r in RunLedger.load(tmp_path / "ledger.jsonl"))
+        assert backend.invocations == 5
 
     def test_own_append_after_another_writer_leaves_both_unread(self, tmp_path):
         # A store's own append counts as read only when it starts where the
