@@ -103,8 +103,8 @@ def _read_json(path: Path | str, what: str, from_dict=None):
 
 def load_manifest(path: Path | str) -> dict[str, ClipInfo]:
     """Load a clip manifest: a JSON array of {id, path, frame_count,
-    frame_rate}, with an integer frame_count and a number frame_rate;
-    other keys are ignored."""
+    frame_rate}, with a string id and path, an integer frame_count and a
+    number frame_rate; other keys are ignored."""
     raw = _read_json(path, "manifest")
     if not isinstance(raw, list):
         raise ManifestError(f"manifest {path} must be a JSON array of clip entries")
@@ -117,7 +117,8 @@ def load_manifest(path: Path | str) -> dict[str, ClipInfo]:
                     f"manifest {path} entry {i}: frame_count must be an integer and "
                     f"frame_rate a number, got {_brief(count)} and {_brief(rate)}"
                 )
-            clip = ClipInfo(id=_json_field(entry, "id", str), path=Path(entry["path"]),
+            clip = ClipInfo(id=_json_field(entry, "id", str),
+                            path=Path(_json_field(entry, "path", str)),
                             frame_count=count, frame_rate=float(rate))
         except KeyError as exc:
             raise ManifestError(f"manifest {path} entry {i}: missing field {exc}") from exc

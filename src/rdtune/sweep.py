@@ -23,12 +23,12 @@ GIL, so a thread pool could not overlap them and would only add hand-off
 cost: they run in ladder order on the calling thread, and the sweep's
 records (hits, fresh points, and the partials of a failed sweep) go to the
 ledger in one write.  A backend whose encodes run in child processes gets
-a pool of config.workers threads by one rule (_encode_pool): the pool the
+a pool of config.workers threads by one rule, in _sweep: the pool the
 caller passes (optimize_clips shares one among its searches, so
-config.workers caps the concurrent encodes of the whole run), else one per
-optimize_clip or run_sweep call.  Such a sweep's hits go to the ledger in
-one write, and each encode's record is appended by the pool thread that
-ran it, as soon as it completes, so a killed run loses no finished encode.
+config.workers caps the concurrent encodes of the whole run), else one
+opened for that sweep alone.  Such a sweep's hits go to the ledger in one
+write, and each encode's record is appended by the pool thread that ran
+it, as soon as it completes, so a killed run loses no finished encode.
 Every job carries work_dir <cache-dir>/work (None without a cache dir):
 each external encode makes its own temporary directory there (or in the
 system temp dir) and removes it when done; the synthetic backend writes
@@ -60,7 +60,7 @@ import threading
 import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Protocol
@@ -463,32 +463,31 @@ def _ledger_record(
     }
 
 
-def _encode_pool(config: SweepConfig, backend: EncoderBackend, pool: ThreadPoolExecutor | None = None):
-    """Context giving the encode pool of one call: the pool passed in, None
-    for an in-process backend, and otherwise a new pool of config.workers
-    threads, shut down when the call ends."""
-    if pool is not None or backend.in_process:
-        return nullcontext(pool)
-    return ThreadPoolExecutor(max_workers=config.workers)
-
-
 def _sweep(
     clip_id: str,
     k: float,
     config: SweepConfig,
     backend: EncoderBackend,
-    cache: PointCache,
-    pool: ThreadPoolExecutor | None,
+    cache: PointCache | None = None,
+    pool: ThreadPoolExecutor | None = None,
 ) -> tuple[RDCurve, int]:
-    """Measure the full ladder for one (clip, k), encoding cache misses on
-    `pool`, or in ladder order on this thread when it is None; returns
-    (curve, fresh_encodes).  Store hits, replayed failures and encodes all
-    go into one table qp -> outcome.  A pooled encode's task appends its own
-    record; the sweep waits on the tasks in ladder order.  A failed sweep
-    raises SweepError naming its first failed qp in ladder order; its
-    fresh_encodes counts the encodes it dispatched.  A shut-down pool's
-    RuntimeError (from submit) or CancelledError (for a cancelled encode)
-    propagates instead; an encode already running still records itself."""
+    """Measure the full ladder for one (clip, k); returns (curve,
+    fresh_encodes).  The store is `cache`, else that of config.cache_dir
+    (memory-only when that is None).  Misses are encoded on `pool`; given
+    none, on a pool of config.workers threads opened for this sweep and
+    shut down when it ends, also when it raises, or for an in-process
+    backend in ladder order on this thread.  Store hits, replayed failures
+    and encodes all go into one table qp -> outcome.  A pooled encode's task
+    appends its own record; the sweep waits on the tasks in ladder order.
+    A failed sweep raises SweepError naming its first failed qp in ladder
+    order; its fresh_encodes counts the encodes it dispatched.  A shut-down
+    pool's RuntimeError (from submit) or CancelledError (for a cancelled
+    encode) propagates instead; an encode already running still records
+    itself."""
+    cache = cache or _default_store(config.cache_dir)
+    if pool is None and not backend.in_process:  # a pool for this sweep alone
+        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+            return _sweep(clip_id, k, config, backend, cache, pool)
     digests = {"template_digest": backend.template_digest(),
                "clip_digest": backend.clip_digest(clip_id)}
     work_dir = None if config.cache_dir is None else config.cache_dir / "work"
@@ -561,16 +560,8 @@ def run_sweep(
     cache: PointCache | None = None,
 ) -> RDCurve:
     """RD curve over the full ladder for one (clip, k), consulting the cache
-    first.  Misses are encoded up to config.workers at a time, or on this
-    thread for an in-process backend.
-
-    Without a cache the store of config.cache_dir is used (memory-only when
-    that is None).
-    """
-    cache = cache or _default_store(config.cache_dir)
-    with _encode_pool(config, backend) as pool:
-        curve, _ = _sweep(clip_id, k, config, backend, cache, pool)
-    return curve
+    first: one sweep, with _sweep's store and pool rule."""
+    return _sweep(clip_id, k, config, backend, cache)[0]
 
 
 @dataclass(frozen=True)
@@ -596,15 +587,13 @@ def evaluate_cost(
     """BD-Rate of the k-curve against the k=1 reference curve.
 
     k=1 short-circuits to cost 0 with zero invocations; the reference
-    curve already exists by precondition.  Encodes run on `pool` when one
-    is given; otherwise as in run_sweep.  An RdtuneError raised here
-    carries fresh_encodes, the encodes the failed trial made.
+    curve already exists by precondition.  Otherwise it is one sweep, with
+    _sweep's store and pool rule.  An RdtuneError raised here carries
+    fresh_encodes, the encodes the failed trial made.
     """
     if _quantize_k(k) == _quantize_k(1.0):
         return TrialRecord(k=1.0, curve=reference_curve, cost=0.0, encoder_invocations=0)
-    cache = cache or _default_store(config.cache_dir)
-    with _encode_pool(config, backend, pool) as pool:
-        curve, fresh = _sweep(clip_id, k, config, backend, cache, pool)
+    curve, fresh = _sweep(clip_id, k, config, backend, cache, pool)
     try:
         cost = bd_rate(reference_curve, curve)
     except RdtuneError as exc:
@@ -688,46 +677,42 @@ def optimize_clip(
     since no result can be reported without the k=1 curve, and a ladder too
     short for BD-Rate raises ValueError before any encode.
     total_invocations also counts the encodes of a probe that failed.
-    Every sweep of the call runs its encodes on `pool` when one is given,
-    which optimize_clips shares between the clips it searches at once;
-    otherwise, for a backend over child processes, on one pool of
-    config.workers threads opened for the call, and for an in-process
-    backend on the calling thread.  The store is that of config.cache_dir,
-    as in run_sweep.
+    Every sweep of the call uses the store of config.cache_dir, looked up
+    once, and `pool` (optimize_clips shares one between the clips it
+    searches at once), by _sweep's rule.
     """
     _require_bd_ladder(config)
     cache = _default_store(config.cache_dir)
     trials: list[TrialRecord] = []
     failed_encodes = 0  # those of the probe that failed, which ends the search
-    with _encode_pool(config, backend, pool) as pool:
-        reference, _ = _sweep(clip_id, 1.0, config, backend, cache, pool)
+    reference, _ = _sweep(clip_id, 1.0, config, backend, cache, pool)
 
-        def cost(ln_k: float) -> float:
-            trial = evaluate_cost(clip_id, math.exp(ln_k), reference, config, backend, cache, pool=pool)
-            trials.append(trial)
-            return trial.cost
+    def cost(ln_k: float) -> float:
+        trial = evaluate_cost(clip_id, math.exp(ln_k), reference, config, backend, cache, pool=pool)
+        trials.append(trial)
+        return trial.cost
 
-        try:
-            bracket = bracket_minimum(cost, *_LN_K_SEEDS, lo=_LN_K_BOUNDS[0], hi=_LN_K_BOUNDS[1])
-            _, _, trace = brent_minimize(cost, bracket, DEFAULT_OPTIMIZER)
-            stop_reason = "converged" if trace.converged else "max_iters"
-        except BracketError:
-            stop_reason = "no_bracket"
-        except RdtuneError as exc:
-            stop_reason = "failed_probe"
-            failed_encodes = getattr(exc, "fresh_encodes", 0)
+    try:
+        bracket = bracket_minimum(cost, *_LN_K_SEEDS, lo=_LN_K_BOUNDS[0], hi=_LN_K_BOUNDS[1])
+        _, _, trace = brent_minimize(cost, bracket, DEFAULT_OPTIMIZER)
+        stop_reason = "converged" if trace.converged else "max_iters"
+    except BracketError:
+        stop_reason = "no_bracket"
+    except RdtuneError as exc:
+        stop_reason = "failed_probe"
+        failed_encodes = getattr(exc, "fresh_encodes", 0)
 
     if not any(_quantize_k(t.k) == _quantize_k(1.0) for t in trials):
         trials.insert(0, TrialRecord(k=1.0, curve=reference, cost=0.0, encoder_invocations=0))
     best = min(trials, key=lambda t: (t.cost, abs(math.log(t.k))))
-    improved = _quantize_k(best.k) != _quantize_k(1.0) and best.cost < 0.0
+    improved = best.cost < 0.0
     return OptimizationResult(
         clip_id=clip_id,
         codec=config.codec,
         group=config.group,
         scope=config.scope,
-        k_hat=best.k if improved else 1.0,
-        bd_rate=best.cost if improved else 0.0,
+        k_hat=best.k,
+        bd_rate=best.cost,
         iterations=sum(1 for t in trials if _quantize_k(t.k) != _quantize_k(1.0)),
         stop_reason=stop_reason,
         improved=improved,

@@ -191,6 +191,17 @@ class TestClipManifest:
         with pytest.raises(ManifestError, match="m.json entry 1: .*id must be a string"):
             load_manifest(p)
 
+    @pytest.mark.parametrize("path", [5, None, ["x"]])
+    def test_path_is_not_coerced(self, tmp_path, path):
+        # These used to end in Python's own text, which does not name the
+        # field: "expected str, bytes or os.PathLike object, not int".
+        good = {"id": "a", "path": "x", "frame_count": 7, "frame_rate": 25.0}
+        bad = {"id": "b", "path": path, "frame_count": 7, "frame_rate": 25.0}
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps([good, bad]))
+        with pytest.raises(ManifestError, match=r"m.json entry 1: path must be a string, got "):
+            load_manifest(p)
+
     def test_integer_frame_rate_loads_as_float(self, tmp_path):
         p = tmp_path / "m.json"
         p.write_text(json.dumps([{"id": "a", "path": "x", "frame_count": 50, "frame_rate": 25}]))

@@ -462,24 +462,41 @@ class TestStoreAndPool:
         assert backend.invocations == 5
         assert len(RunLedger.load(tmp_path / "a" / "ledger.jsonl")) == 5
 
-    def test_one_pool_per_call(self, tmp_path, opened_pools):
-        # A backend over child processes: one pool of config.workers threads
-        # per optimize_clip, run_sweep or evaluate_cost call.
+    def test_one_pool_per_sweep(self, tmp_path, opened_pools):
+        # A backend over child processes given no pool: one pool of
+        # config.workers threads per sweep, shut down when the sweep ends.
+        # optimize_clip sweeps the reference, then each trial but k = 1.
         opened = opened_pools
         config = av1_config(cache_dir=tmp_path)
         result = optimize_clip("clip", config, pooled(synthetic_backend()))
         assert result.iterations > 3
-        assert len(opened) == 1
-        assert opened[0]._max_workers == config.workers
+        assert len(opened) == 1 + result.iterations
+        assert all(p._max_workers == config.workers and p._shutdown for p in opened)
 
+        opened.clear()
         reference = run_sweep("clip", 1.0, config, pooled(synthetic_backend()))
-        assert len(opened) == 2
+        assert len(opened) == 1
         evaluate_cost("clip", 1.7, reference, config, pooled(synthetic_backend()))
-        assert len(opened) == 3
+        assert len(opened) == 2
+        assert all(p._max_workers == config.workers and p._shutdown for p in opened)
+
+        # A pool passed in is used, and none is opened.
         with ThreadPoolExecutor(2) as pool:
             trial = evaluate_cost("clip", 1.9, reference, config, pooled(synthetic_backend()), pool=pool)
+            optimize_clip("other", config, pooled(synthetic_backend("other")), pool=pool)
         assert trial.encoder_invocations == 5
-        assert len(opened) == 3
+        assert len(opened) == 2
+
+    def test_failed_sweep_shuts_its_pool_down(self, tmp_path, opened_pools):
+        # A failed encode is retried once, so fail it twice.
+        backend = pooled(FlakyBackend(SyntheticClipModel(), "clip", fail_qp=49, failures=2))
+        with pytest.raises(SweepError, match=r"qp=49, k=1\.3"):
+            run_sweep("clip", 1.3, av1_config(cache_dir=tmp_path), backend)
+        assert len(opened_pools) == 1
+        pool = opened_pools[0]
+        assert pool._shutdown
+        assert pool._threads
+        assert not any(thread.is_alive() for thread in pool._threads)
 
     def test_in_process_backend_opens_no_pool(self, tmp_path, opened_pools):
         # SyntheticEncoder's encodes run in ladder order on the calling
