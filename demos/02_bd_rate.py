@@ -14,7 +14,7 @@ import rdtune as rt
 # Two measured curves for the same clip: the k=1 default and a candidate
 # k=2.5 that trades keyframe bits for quality.
 
-backend = rt.SyntheticEncoder(rt.SyntheticClipModel(), "demo")
+backend = rt.SyntheticEncoder({"demo": rt.SyntheticClipModel()})
 config = rt.SweepConfig(codec=rt.CodecId.AV1, group=rt.FrameTypeGroup.KF_GF_ARF)
 reference = rt.run_sweep("demo", 1.0, config, backend)
 candidate = rt.run_sweep("demo", 2.5, config, backend)

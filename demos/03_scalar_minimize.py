@@ -48,7 +48,7 @@ except rt.BracketError as exc:
 # The same machinery over log k is what optimize_clip runs; here the
 # objective is the synthetic clip cost, dense enough to see the shape.
 
-backend = rt.SyntheticEncoder(rt.SyntheticClipModel(), "demo")
+backend = rt.SyntheticEncoder({"demo": rt.SyntheticClipModel()})
 config_sweep = rt.SweepConfig(codec=rt.CodecId.AV1, group=rt.FrameTypeGroup.KF_GF_ARF)
 reference = rt.run_sweep("demo", 1.0, config_sweep, backend)
 

@@ -34,20 +34,19 @@ config = rt.SweepConfig(
     cache_dir=OUT / "cache",
 )
 
-results = []
-for clip_id, model in clips.items():
-    backend = rt.SyntheticEncoder(model, clip_id)
-    result = rt.optimize_clip(clip_id, config, backend)
-    results.append(result)
-    rt.save_result(result, OUT / f"{clip_id}.json")
+# One backend serves the three clips, and one call searches them in turn.
+backend = rt.SyntheticEncoder(clips)
+results = list(rt.optimize_clips(clips, config, backend))
+for result in results:
+    rt.save_result(result, OUT / f"{result.clip_id}.json")
     print(
-        f"{clip_id:11s} k_hat={result.k_hat:6.3f}  bd={result.bd_rate:8.3f}%  "
+        f"{result.clip_id:11s} k_hat={result.k_hat:6.3f}  bd={result.bd_rate:8.3f}%  "
         f"iters={result.iterations:2d}  encodes={result.total_invocations + 5}"
     )
 
 ################################################################################
 # PNM accounting: each optimizer iteration costs one ladder sweep; the
-# predicted budget for this run matches what the backends actually did.
+# predicted budget for this run matches what the backend actually did.
 
 total = sum(r.total_invocations for r in results)
 predicted = 5 * sum(r.iterations for r in results)

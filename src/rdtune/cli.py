@@ -129,13 +129,10 @@ def _sweep_config(args) -> SweepConfig:
 def _make_backend(args):
     """Backend plus the clip ids to process."""
     if args.synthetic is not None:
-        if args.synthetic == "default":
-            model = SyntheticClipModel()
-            clip_id = args.clip or "synthetic"
-        else:
-            model = SyntheticClipModel.from_file(args.synthetic)
-            clip_id = args.clip or Path(args.synthetic).stem
-        return SyntheticEncoder(model, clip_id), [clip_id]
+        default = args.synthetic == "default"
+        model = SyntheticClipModel() if default else SyntheticClipModel.from_file(args.synthetic)
+        clip_id = args.clip or ("synthetic" if default else Path(args.synthetic).stem)
+        return SyntheticEncoder({clip_id: model}), [clip_id]
     if args.manifest is None:
         raise ManifestError("either --synthetic or --manifest is required")
     manifest = load_manifest(args.manifest)
@@ -164,11 +161,12 @@ def _write_or_print(text: str, out: Path | None) -> None:
 def _run_per_clip(args, verb: str, run, file_name) -> int:
     """Write each clip's document, as run(clip_ids, config, backend) yields
     them in clip order: to stdout, to the --out file (one clip only), or to
-    --out/file_name(...).  The file name holds the clip id percent-encoded,
-    so an id with "/" or ".." still names a file directly in --out."""
+    --out/file_name(...) if --out is a directory or has no suffix.  The
+    file name holds the clip id percent-encoded, so an id with "/" or ".."
+    still names a file directly in --out."""
     backend, clip_ids = _make_backend(args)
     config = _sweep_config(args)
-    to_file = args.out is not None and bool(args.out.suffix)
+    to_file = args.out is not None and bool(args.out.suffix) and not args.out.is_dir()
     if len(clip_ids) > 1 and to_file:
         raise ManifestError(f"--out must be a directory when {verb} multiple clips")
     with closing(run(clip_ids, config, backend)) as documents:

@@ -1,13 +1,15 @@
 """Uniform encode-and-measure interface.
 
-Two backends produce RD points for a (clip, qp, k, group, scope) job:
+Two backends produce RD points for a (clip, qp, k, group, scope) job,
+each over a manifest of clips.  digests(clip_id) is the (template, clip)
+digest pair of a clip's cache keys; an id not held is a ManifestError.
 
 * ExternalEncoder renders command templates and runs a patched encoder
   plus a metric tool as child processes (argument vectors, no shell).
   The encoder binary itself is out of scope here; it must accept the
   scale factor k and the targeted frame group / scope as flags.
-* SyntheticEncoder evaluates a closed-form clip model, cheap enough to
-  drive full optimizations on a desk.  Its rate surface decays with qp
+* SyntheticEncoder evaluates a closed-form model per clip, cheap enough
+  to drive full optimizations on a desk.  Its rate surface decays with qp
   and splits bits between a keyframe share (shrinking with k) and the
   rest; its quality surface is concave in ln k and peaks at a latent
   per-clip optimum k_star, with k=1 calibrated to the no-op baseline.
@@ -401,30 +403,40 @@ def synth_encode(model: SyntheticClipModel, qp: int, k: float) -> RDPoint:
     return RDPoint.from_db(qp, bitrate, quality_db, vmaf)
 
 
+def _entry(manifest: dict, clip_id: str):
+    try:
+        return manifest[clip_id]
+    except KeyError:
+        raise ManifestError(f"clip {clip_id!r} not present in the manifest") from None
+
+
 class SyntheticEncoder:
-    """Backend over a SyntheticClipModel; counts its invocations."""
+    """Backend over a manifest of one SyntheticClipModel per clip id, or
+    SyntheticEncoder(model, clip_id) over one clip; counts its invocations.
+    A clip's digests are "synthetic:" + d and sha256(f"{clip_id}:{d}")."""
 
     # Its encodes are Python arithmetic that holds the GIL: threads cannot
     # overlap them, so sweeps run them on the calling thread.
     in_process = True
 
-    def __init__(self, model: SyntheticClipModel, clip_id: str = "synthetic"):
-        self.model = model
-        self.clip_id = clip_id
+    def __init__(self, models: dict[str, SyntheticClipModel] | SyntheticClipModel,
+                 clip_id: str = "synthetic"):
+        models = {clip_id: models} if isinstance(models, SyntheticClipModel) else models
         self.invocations = 0
-        self._digest = model.digest()
         self._count_lock = threading.Lock()
+        # Each model's digest d costs more than an encode, so it is taken once.
+        self._clips = {c: (m, "synthetic:" + (d := m.digest()),
+                           hashlib.sha256(f"{c}:{d}".encode()).hexdigest())
+                       for c, m in models.items()}
 
     def measure(self, job: EncodeJob) -> RDPoint:
+        model = _entry(self._clips, job.clip_id)[0]
         with self._count_lock:
             self.invocations += 1
-        return synth_encode(self.model, job.qp, job.k)
+        return synth_encode(model, job.qp, job.k)
 
-    def clip_digest(self, clip_id: str) -> str:
-        return hashlib.sha256(f"{clip_id}:{self._digest}".encode()).hexdigest()
-
-    def template_digest(self) -> str:
-        return "synthetic:" + self._digest
+    def digests(self, clip_id: str) -> tuple[str, str]:
+        return _entry(self._clips, clip_id)[1:]
 
 
 class ExternalEncoder:
@@ -439,20 +451,14 @@ class ExternalEncoder:
         self.manifest = manifest
         self._clip_digests: dict[str, str] = {}
 
-    def _clip(self, clip_id: str) -> ClipInfo:
-        try:
-            return self.manifest[clip_id]
-        except KeyError:
-            raise ManifestError(f"clip {clip_id!r} not present in the manifest") from None
-
     def measure(self, job: EncodeJob) -> RDPoint:
-        return encode_measure(job, self.templates, self._clip(job.clip_id))
+        return encode_measure(job, self.templates, _entry(self.manifest, job.clip_id))
 
-    def clip_digest(self, clip_id: str) -> str:
-        """Digest of the clip's content and of the manifest fields its
-        bitrate is computed from (frame_count and frame_rate)."""
+    def digests(self, clip_id: str) -> tuple[str, str]:
+        """The templates' digest, and one of the clip's content and of the
+        frame_count and frame_rate that its bitrate is computed from."""
         if clip_id not in self._clip_digests:
-            clip = self._clip(clip_id)
+            clip = _entry(self.manifest, clip_id)
             h = hashlib.sha256()
             try:
                 with open(clip.path, "rb") as fh:
@@ -462,7 +468,4 @@ class ExternalEncoder:
                 raise ManifestError(f"cannot hash clip {clip_id!r} at {clip.path}: {exc}") from exc
             h.update(f"\x00{clip.frame_count}\x00{clip.frame_rate!r}".encode())
             self._clip_digests[clip_id] = h.hexdigest()
-        return self._clip_digests[clip_id]
-
-    def template_digest(self) -> str:
-        return self.templates.digest()
+        return self.templates.digest(), self._clip_digests[clip_id]

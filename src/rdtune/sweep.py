@@ -130,16 +130,16 @@ class EncoderBackend(Protocol):
     in_process is True when measure() computes in this interpreter, holding
     the GIL, so sweeps call it on the calling thread; False when it waits
     on child processes, so sweeps call it from a pool of config.workers
-    threads.
+    threads.  digests(clip_id) is the (template, clip) digest pair that
+    keys the clip's cache entries.  measure() and digests() raise
+    ManifestError naming a clip id that the backend does not hold.
     """
 
     in_process: bool
 
     def measure(self, job: EncodeJob) -> RDPoint: ...
 
-    def clip_digest(self, clip_id: str) -> str: ...
-
-    def template_digest(self) -> str: ...
+    def digests(self, clip_id: str) -> tuple[str, str]: ...
 
 
 @dataclass(frozen=True)
@@ -488,8 +488,7 @@ def _sweep(
     if pool is None and not backend.in_process:  # a pool for this sweep alone
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             return _sweep(clip_id, k, config, backend, cache, pool)
-    digests = {"template_digest": backend.template_digest(),
-               "clip_digest": backend.clip_digest(clip_id)}
+    digests = dict(zip(("template_digest", "clip_digest"), backend.digests(clip_id)))
     work_dir = None if config.cache_dir is None else config.cache_dir / "work"
 
     outcomes: dict[int, RDPoint | Exception] = {}

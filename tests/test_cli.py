@@ -208,6 +208,35 @@ class TestPerClipOutput:
         assert err == f"error: {command}: --out must be a directory when {verb} multiple clips\n"
         assert not out.exists()
 
+    def test_existing_dir_with_a_suffix_takes_two_clips(self, tmp_path, capsys):
+        # The run passes the --out check and fails on the first clip, whose
+        # file is missing.
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([
+            {"id": c, "path": str(tmp_path / f"{c}.yuv"), "frame_count": 25, "frame_rate": 25.0}
+            for c in ("a", "b")
+        ]))
+        out = tmp_path / "sweep_1.0"
+        out.mkdir()
+        argv = ["sweep", "--manifest", str(manifest), *self.TEMPLATES, "--out", str(out)]
+        assert cli_dispatch(argv) == 1
+        assert capsys.readouterr().err.startswith("error: sweep: cannot hash clip 'a'")
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["sweep", "--k", "2"], "synthetic_k2.000000.json"),
+            (["optimize", "--group", "KF_GF_ARF"], "synthetic_AV1_Top_KF_GF_ARF.json"),
+        ],
+        ids=["sweep", "optimize"],
+    )
+    def test_existing_dir_with_a_suffix_is_a_directory(self, tmp_path, capsys, argv, name):
+        out = tmp_path / "sweep_1.0"
+        out.mkdir()
+        assert cli_dispatch([*argv, "--synthetic", "default", "--out", str(out)]) == 0
+        assert [p.name for p in out.iterdir()] == [name]
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize(
         "argv, name",
         [

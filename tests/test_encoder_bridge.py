@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import sys
@@ -521,32 +522,39 @@ class TestEncodeMeasure:
 
 class TestBackends:
     def test_synthetic_counts_invocations(self):
-        backend = SyntheticEncoder(SyntheticClipModel(), "clipZ")
+        backend = SyntheticEncoder({"clipA": SyntheticClipModel()})
         backend.measure(make_job(qp=39, k=1.5))
         backend.measure(make_job(qp=49, k=1.5))
         assert backend.invocations == 2
 
     def test_synthetic_digests(self):
-        a = SyntheticEncoder(SyntheticClipModel())
-        b = SyntheticEncoder(SyntheticClipModel(k_star=1.1))
-        assert a.template_digest() != b.template_digest()
-        assert a.clip_digest("x") != a.clip_digest("y")
+        model = SyntheticClipModel()
+        backend = SyntheticEncoder({"x": model, "y": model, "z": SyntheticClipModel(k_star=1.1)})
+        (tx, cx), (ty, cy), (tz, _) = map(backend.digests, "xyz")
+        assert tx == ty != tz
+        assert cx != cy
+        # The one-model form is the one-entry mapping; the cache keys of both
+        # are those of the backend that served one model for any clip id.
+        pinned = ("synthetic:" + model.digest(),
+                  hashlib.sha256(f"x:{model.digest()}".encode()).hexdigest())
+        assert SyntheticEncoder(model, "x").digests("x") == (tx, cx) == pinned
 
     def test_external_clip_digest_tracks_content(self, stub_tools):
         enc, met, clip, log = stub_tools
         backend = ExternalEncoder(stub_templates(enc, met, log), {clip.id: clip})
-        first = backend.clip_digest("clipA")
-        assert first == backend.clip_digest("clipA")
+        template_digest, first = backend.digests("clipA")
+        assert template_digest == backend.templates.digest()
+        assert first == backend.digests("clipA")[1]
         backend2 = ExternalEncoder(stub_templates(enc, met, log), {clip.id: clip})
         clip.path.write_bytes(b"\x20" * 4096)
-        assert backend2.clip_digest("clipA") != first
+        assert backend2.digests("clipA")[1] != first
 
     def test_external_clip_digest_tracks_duration_fields(self, stub_tools):
         enc, met, clip, log = stub_tools
-        first = ExternalEncoder(stub_templates(enc, met, log), {clip.id: clip}).clip_digest("clipA")
+        first = ExternalEncoder(stub_templates(enc, met, log), {clip.id: clip}).digests("clipA")
         for changed in (replace(clip, frame_rate=50.0), replace(clip, frame_count=260)):
             backend = ExternalEncoder(stub_templates(enc, met, log), {clip.id: changed})
-            assert backend.clip_digest("clipA") != first
+            assert backend.digests("clipA")[1] != first[1]
 
     def test_changed_frame_rate_re_encodes(self, stub_tools, tmp_path):
         # The bitrate is computed from the manifest's duration, so a cached
@@ -590,11 +598,16 @@ class TestBackends:
         for output in outputs:
             assert output.resolve().is_relative_to((cache / "work").resolve())
 
-    def test_external_unknown_clip(self, stub_tools):
-        enc, met, clip, log = stub_tools
-        backend = ExternalEncoder(stub_templates(enc, met, log), {clip.id: clip})
-        with pytest.raises(ManifestError, match="nope"):
-            backend.clip_digest("nope")
+    @pytest.mark.parametrize("backend", [
+        lambda enc, met, clip, log: SyntheticEncoder({clip.id: SyntheticClipModel()}),
+        lambda enc, met, clip, log: ExternalEncoder(stub_templates(enc, met, log), {clip.id: clip}),
+    ], ids=["synthetic", "external"])
+    def test_unknown_clip(self, stub_tools, tmp_path, backend):
+        cache = tmp_path / "cache"
+        config = SweepConfig(codec=CodecId.AV1, qp_ladder=(27, 39), workers=2, cache_dir=cache)
+        with pytest.raises(ManifestError, match="'nope'"):
+            run_sweep("nope", 1.0, config, backend(*stub_tools))
+        assert (cache / "ledger.jsonl").read_bytes() == b""
 
 
 class TestEncodeJob:

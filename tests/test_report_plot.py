@@ -112,7 +112,7 @@ class TestRendering:
 
 
 def synthetic_curves(ks=(1.0, 2.5)):
-    backend = SyntheticEncoder(SyntheticClipModel(), "demo")
+    backend = SyntheticEncoder({"demo": SyntheticClipModel()})
     config = SweepConfig(codec=CodecId.AV1, group=FrameTypeGroup.KF_GF_ARF)
     from rdtune.sweep import run_sweep
 

@@ -50,7 +50,7 @@ def av1_config(**kwargs):
 
 
 def synthetic_backend(clip_id="clip", **model_kwargs):
-    return SyntheticEncoder(SyntheticClipModel(**model_kwargs), clip_id)
+    return SyntheticEncoder({clip_id: SyntheticClipModel(**model_kwargs)})
 
 
 def pooled(backend):
@@ -102,7 +102,7 @@ class FlakyBackend(SyntheticEncoder):
     call counts as an invocation."""
 
     def __init__(self, model, clip_id, fail_qp, fail_k=None, failures=1):
-        super().__init__(model, clip_id)
+        super().__init__({clip_id: model})
         self.fail_qp = fail_qp
         self.fail_k = fail_k
         self.remaining_failures = failures
@@ -208,7 +208,7 @@ def _sweep_in_child(cache_dir, queue):
 
     counts, work_dirs = [], set()
     for k in (2.0, 1.0):
-        backend = Recording(SyntheticClipModel(), "clip")
+        backend = Recording({"clip": SyntheticClipModel()})
         run_sweep("clip", k, av1_config(cache_dir=cache_dir), backend)
         counts.append(backend.invocations)
     queue.put((counts, sorted(work_dirs), os.getpid()))
@@ -509,7 +509,7 @@ class TestStoreAndPool:
                 return super().measure(job)
 
         config = av1_config(cache_dir=tmp_path)
-        backend = Recording(SyntheticClipModel(), "clip")
+        backend = Recording({"clip": SyntheticClipModel()})
         result = optimize_clip("clip", config, backend)
         reference = run_sweep("clip", 1.0, config, backend)
         evaluate_cost("clip", 1.7, reference, config, backend)
@@ -538,7 +538,7 @@ class TestStoreAndPool:
 
         for in_process in (True, False):
             for cache_dir in (tmp_path / str(in_process), None):
-                backend = Recording(SyntheticClipModel(), "clip")
+                backend = Recording({"clip": SyntheticClipModel()})
                 backend.in_process = in_process
                 run_sweep("clip", 1.0, av1_config(cache_dir=cache_dir), backend)
                 assert work_dirs == [cache_dir and cache_dir / "work"] * 5
@@ -676,7 +676,7 @@ class TestLedgerBatching:
 
         def run():
             try:
-                run_sweep("clip", 1.0, av1_config(cache_dir=tmp_path), Blocking(SyntheticClipModel(), "clip"))
+                run_sweep("clip", 1.0, av1_config(cache_dir=tmp_path), Blocking({"clip": SyntheticClipModel()}))
             except BaseException as exc:
                 errors.append(exc)
 
@@ -744,7 +744,7 @@ class TestLedgerBatching:
                 return super().measure(job)
 
         config = av1_config(cache_dir=tmp_path, workers=2)
-        backend = Blocking(SyntheticClipModel(), "clip")
+        backend = Blocking({"clip": SyntheticClipModel()})
         reference = run_sweep("clip", 1.0, config, backend)
         blocking.set()
         pool = Pool(2)
@@ -947,8 +947,7 @@ class TestFailureRecords:
         assert [(r["qp"], r["status"]) for r in records] == [
             (27, "ok"), (39, "ok"), (49, "failed"), (59, "failed"), (63, "failed")]
         for rec in records:
-            assert rec["template_digest"] == backend.template_digest()
-            assert rec["clip_digest"] == backend.clip_digest("clip")
+            assert (rec["template_digest"], rec["clip_digest"]) == backend.digests("clip")
             assert rec["cached"] is False and rec["invocation_seconds"] > 0.0
         failed = records[2]
         assert failed["error"] == "DomainError"
@@ -1253,7 +1252,7 @@ class TestOptimizeClip:
     def test_search_cut_short_keeps_best_evaluated_trial(
         self, tmp_path, model, k_hat, bd, stop_reason
     ):
-        result = optimize_clip("clip", av1_config(cache_dir=tmp_path), SyntheticEncoder(model, "clip"))
+        result = optimize_clip("clip", av1_config(cache_dir=tmp_path), SyntheticEncoder({"clip": model}))
         assert result.bd_rate == pytest.approx(bd, abs=0.01)
         assert result.bd_rate == min(t.cost for t in result.trials)
         assert result.improved
@@ -1441,15 +1440,13 @@ class TestDocumentJson:
 
 
 class ClipSet(SyntheticEncoder):
-    """One synthetic model per clip id, each encode sleeping delays[clip]
-    seconds (as a child process would wait), a clip whose model is None
-    failing every encode with DomainError, and a record of every encode:
+    """SyntheticEncoder over models, each encode sleeping delays[clip]
+    seconds (as a child process would wait), with a record of every encode:
     (clip, start, end), the most encodes ever running at once, and whether
     encodes of two clips ever ran at once."""
 
     def __init__(self, models, delays):
-        super().__init__(SyntheticClipModel())
-        self.models = models
+        super().__init__(models)
         self.delays = delays
         self.calls = []
         self.running = []
@@ -1464,10 +1461,7 @@ class ClipSet(SyntheticEncoder):
         start = time.perf_counter()
         try:
             time.sleep(self.delays[job.clip_id])
-            model = self.models[job.clip_id]
-            if model is None:
-                raise DomainError(f"no model for clip {job.clip_id}")
-            return synth_encode(model, job.qp, job.k)
+            return super().measure(job)
         finally:
             with self._count_lock:
                 self.running.remove(job.clip_id)
@@ -1475,6 +1469,8 @@ class ClipSet(SyntheticEncoder):
 
 
 CLIP_MODELS = {f"clip{i}": SyntheticClipModel(k_star=k) for i, k in enumerate((0.7, 1.6, 3.0, 2.2))}
+# Every encode of this model underflows its quality, a DomainError.
+UNDERFLOWS = SyntheticClipModel(s0=1.0)
 
 
 def assert_as_sequential(results, tmp_path):
@@ -1482,7 +1478,7 @@ def assert_as_sequential(results, tmp_path):
     for result in results:
         clip = result.clip_id
         config = av1_config(cache_dir=tmp_path / "sequential" / clip)
-        alone = optimize_clip(clip, config, SyntheticEncoder(CLIP_MODELS[clip], clip))
+        alone = optimize_clip(clip, config, SyntheticEncoder({clip: CLIP_MODELS[clip]}))
         assert (result.k_hat, result.bd_rate, result.stop_reason) == (
             alone.k_hat, alone.bd_rate, alone.stop_reason)
         assert [(t.k, t.cost, t.encoder_invocations) for t in result.trials] == [
@@ -1543,7 +1539,7 @@ class TestOptimizeClips:
                 return super().measure(job)
 
         config = av1_config(cache_dir=tmp_path)
-        results = list(optimize_clips(["a", "b"], config, Recording(SyntheticClipModel())))
+        results = list(optimize_clips(["a", "b"], config, Recording(dict.fromkeys("ab", SyntheticClipModel()))))
         assert [r.clip_id for r in results] == ["a", "b"]
         assert opened_pools == []
         assert threads == {threading.get_ident()}
@@ -1561,7 +1557,7 @@ class TestOptimizeClips:
         assert opened_pools == []
 
     def test_failed_search_stops_the_run(self, tmp_path):
-        models = {"bad": None, "slow": SyntheticClipModel(), "slow2": SyntheticClipModel(k_star=3.0)}
+        models = {"bad": UNDERFLOWS, "slow": SyntheticClipModel(), "slow2": SyntheticClipModel(k_star=3.0)}
         backend = pooled(ClipSet(models, {"bad": 0.0, "slow": 0.05, "slow2": 0.05}))
         config = av1_config(cache_dir=tmp_path, workers=2)
         threads = threading.active_count()
@@ -1578,7 +1574,7 @@ class TestOptimizeClips:
     def test_no_search_starts_after_a_later_clip_failed(self, tmp_path):
         # "bad" fails while "slow" still runs: slow's result comes first,
         # then bad's error, and "later" never starts.
-        models = {"slow": SyntheticClipModel(), "bad": None, "later": SyntheticClipModel()}
+        models = {"slow": SyntheticClipModel(), "bad": UNDERFLOWS, "later": SyntheticClipModel()}
         backend = pooled(ClipSet(models, {"slow": 0.02, "bad": 0.0, "later": 0.0}))
         results = optimize_clips(list(models), av1_config(cache_dir=tmp_path, workers=2), backend)
         assert next(results).clip_id == "slow"
@@ -1639,10 +1635,10 @@ class TestBudget:
         # Over M clips sharing one store, the summed counts match what the
         # encoders ran: no clip reuses another's points.
         config = av1_config(cache_dir=tmp_path)
-        backends = [synthetic_backend(clip) for clip in ("a", "b")]
-        results = [optimize_clip(b.clip_id, config, b) for b in backends]
+        backend = SyntheticEncoder(dict.fromkeys("ab", SyntheticClipModel()))
+        results = list(optimize_clips(["a", "b"], config, backend))
         assert sum(r.total_invocations for r in results) == 5 * sum(r.iterations for r in results)
-        assert sum(b.invocations for b in backends) == sum(r.total_invocations for r in results) + 2 * 5
+        assert backend.invocations == sum(r.total_invocations for r in results) + 2 * 5
 
     def test_cold_run_matches_budget(self, tmp_path):
         backend = synthetic_backend()
@@ -1702,7 +1698,7 @@ class TestLedgerReplay:
                     firsts.append(run_sweep("clip", 1.0, config, synthetic_backend(), cache=a))
                 return synth_encode(SyntheticClipModel(r0=40000.0), job.qp, job.k)
 
-        second = run_sweep("clip", 1.0, config, Lockstep(SyntheticClipModel(), "clip"), cache=b)
+        second = run_sweep("clip", 1.0, config, Lockstep({"clip": SyntheticClipModel()}), cache=b)
         records = RunLedger.load(path)
         assert len(records) == 10
         backend = synthetic_backend()
@@ -1712,16 +1708,19 @@ class TestLedgerReplay:
         assert curves_from_ledger(records) == [served]
 
     def test_two_builds_under_one_clip_id_make_two_curves(self, tmp_path):
+        # One model, so only the template digest tells the builds apart.
         class Build(SyntheticEncoder):
-            def __init__(self, build, **model_kwargs):
-                super().__init__(SyntheticClipModel(**model_kwargs), "clip")
+            def __init__(self, build):
+                super().__init__({"clip": SyntheticClipModel()})
                 self.build = build
 
-            def template_digest(self):
-                return self.build
+            def digests(self, clip_id):
+                return self.build, super().digests(clip_id)[1]
 
         config = av1_config(cache_dir=tmp_path)
-        curves = [run_sweep("clip", 1.0, config, Build(b, r0=r0)) for b, r0 in (("b1", 30000.0), ("b2", 40000.0))]
+        builds = [Build("b1"), Build("b2")]
+        curves = [run_sweep("clip", 1.0, config, b) for b in builds]
+        assert [b.invocations for b in builds] == [5, 5]
         assert curves_from_ledger(RunLedger.load(tmp_path / "ledger.jsonl")) == curves
 
     def test_lines_that_are_not_records_are_skipped(self, tmp_path):
@@ -1752,7 +1751,7 @@ class InjectedFaults(SyntheticEncoder):
     fail the encode."""
 
     def __init__(self, model, fault_seed, once, twice):
-        super().__init__(model, "clip")
+        super().__init__({"clip": model})
         self.rule = (fault_seed, once, twice)
         self.attempts: dict[tuple, int] = {}
 
@@ -1852,9 +1851,11 @@ class TestWarmRerun:
         # model; its failed encodes are replayed from the ledger.
         config = av1_config(cache_dir=tmp_path)
 
+        models = {f"harsh_c{c:g}_k{k:g}": SyntheticClipModel(c=c, k_star=k) for c, k in HARSH_GRID}
+
         def run():
-            backends = [synthetic_backend(f"harsh_c{c:g}_k{k:g}", c=c, k_star=k) for c, k in HARSH_GRID]
-            return [optimize_clip(b.clip_id, config, b) for b in backends], backends
+            backend = SyntheticEncoder(models)
+            return list(optimize_clips(list(models), config, backend)), backend
 
         cold, _ = run()
         assert sum(r.stop_reason == "failed_probe" for r in cold) >= 6
@@ -1862,8 +1863,8 @@ class TestWarmRerun:
         size = path.stat().st_size
         if store == "reopened":
             monkeypatch.setattr(sweep, "_open_store", None)
-        warm, backends = run()
-        assert [b.invocations for b in backends] == [0] * len(HARSH_GRID)
+        warm, backend = run()
+        assert backend.invocations == 0
         assert [r.total_invocations for r in warm] == [0] * len(HARSH_GRID)
         assert [_without_invocations(r) for r in warm] == [_without_invocations(r) for r in cold]
         appended = [json.loads(line) for line in path.read_bytes()[size:].splitlines()]

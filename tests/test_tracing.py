@@ -51,7 +51,7 @@ def test_store_and_encode_spans_carry_the_clip(tmp_path, dispatch):
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    backend = dispatch(SyntheticEncoder(SyntheticClipModel(), "clip"))
+    backend = dispatch(SyntheticEncoder({"clip": SyntheticClipModel()}))
     config = sweep.SweepConfig(CodecId.AV1, FrameTypeGroup.KF_GF_ARF, cache_dir=tmp_path, workers=2)
     with tracing.Tracer() as tracer:
         result = sweep.optimize_clip("clip", config, backend)
