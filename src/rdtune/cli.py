@@ -161,12 +161,13 @@ def _write_or_print(text: str, out: Path | None) -> None:
 def _run_per_clip(args, verb: str, run, file_name) -> int:
     """Write each clip's document, as run(clip_ids, config, backend) yields
     them in clip order: to stdout, to the --out file (one clip only), or to
-    --out/file_name(...) if --out is a directory or has no suffix.  The
-    file name holds the clip id percent-encoded, so an id with "/" or ".."
-    still names a file directly in --out."""
+    --out/file_name(...) if --out is a directory, or does not exist and has
+    no suffix.  The file name holds the clip id percent-encoded, so an id
+    with "/" or ".." still names a file directly in --out."""
     backend, clip_ids = _make_backend(args)
     config = _sweep_config(args)
-    to_file = args.out is not None and bool(args.out.suffix) and not args.out.is_dir()
+    to_file = args.out is not None and not args.out.is_dir() and (
+        args.out.exists() or bool(args.out.suffix))
     if len(clip_ids) > 1 and to_file:
         raise ManifestError(f"--out must be a directory when {verb} multiple clips")
     with closing(run(clip_ids, config, backend)) as documents:

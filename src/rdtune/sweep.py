@@ -34,17 +34,20 @@ each external encode makes its own temporary directory there (or in the
 system temp dir) and removes it when done; the synthetic backend writes
 no files.
 
-The search is one fixed bracketing plus Brent over ln k, at
-DEFAULT_OPTIMIZER's tolerances (xtol in ln k, ftol in BD-Rate points) and
-iteration cap: Brent stops on xtol, on a parabolic step that predicts less
-than ftol of gain, or after two trials in a row that each gain less than
-ftol on the best cost so far.  ftol (0.05) is set by the noise of one
-trial's cost, which scores a single noisy sweep.  It has one failure
-rule: any RdtuneError raised while bracketing or refining (a probe whose
-sweep or BD-Rate fails, or no bracket inside the k bounds) ends the
-search, and k-hat is the best trial evaluated up to then, including the
-k=1 baseline, so no clip can regress: reported bd_rate is always <= 0.
-The result's stop_reason says why the search ended.  Only an encode whose
+The search is a bracketing from the seeds k = 2 and k = 1 plus Brent over
+ln k, at DEFAULT_OPTIMIZER's tolerances (xtol in ln k, ftol in BD-Rate
+points) and iteration cap: Brent stops on xtol, on a parabolic step that
+predicts less than ftol of gain, or after two trials in a row that each
+gain less than ftol on the best cost so far.  ftol (0.05) is set by the
+noise of one trial's cost, which scores a single noisy sweep.  It has one
+failure rule: any RdtuneError raised while bracketing or refining (a probe
+whose sweep or BD-Rate fails, or no bracket inside the k bounds) ends the
+bracket.  If no trial but k = 1 has succeeded by then, the search brackets
+again from k = 1 with the first probe 2^(1/2), then 2^(1/4), then 0.5,
+until one gives a successful trial; every bracket reuses the one k = 1
+trial.  k-hat is the best trial evaluated, including the k=1 baseline, so
+no clip can regress: reported bd_rate is always <= 0.  The result's
+stop_reason says why the last bracket ended.  Only an encode whose
 child process failed (EncodeFailure) is retried, once; every other error
 is deterministic and a retry would only repeat it.
 """
@@ -113,9 +116,13 @@ DEFAULT_QP_LADDERS: dict[CodecId, tuple[int, ...]] = {
 DEFAULT_OPTIMIZER = OptimizerConfig(xtol=0.01, max_iters=25, ftol=0.05)
 
 # The search over ln k: the window k in [1/16, 16] and the downhill seeds
-# k = 0.5 and k = 1.
+# k = 2 and k = 1.  Most clips gain above k = 1, so a first probe below it
+# mostly spends its sweep on the wrong side.  While no trial but k = 1 has
+# succeeded, the search brackets again from k = 1 with these first probes
+# in turn: two steps back toward 1, then the other side.
 _LN_K_BOUNDS = (math.log(1.0 / 16.0), math.log(16.0))
-_LN_K_SEEDS = (math.log(0.5), 0.0)
+_LN_K_SEEDS = (math.log(2.0), 0.0)
+_LN_K_FALLBACKS = (math.log(2.0) / 2.0, math.log(2.0) / 4.0, math.log(0.5))
 
 _K_QUANTUM = 1e-6
 
@@ -665,44 +672,50 @@ def optimize_clip(
 ) -> OptimizationResult:
     """Find the scale factor minimizing BD-Rate against the clip's k=1 curve.
 
-    Brackets downhill from the seeds k = 0.5 and k = 1 inside the window
+    Brackets downhill from the seeds k = 2 and k = 1 inside the window
     k in [1/16, 16], then runs Brent with DEFAULT_OPTIMIZER, both over
     ln k.  Every probe is a trial; a repeated probe would cost no encodes,
     since the cache serves its points.  Any RdtuneError raised on the way
-    (no bracket, or a probe that fails) ends the search; k-hat is always
-    the best trial evaluated, including the k=1 baseline, and stop_reason
-    records why the search ended.  A clip no trial improves reports k-hat
-    1 and zero for every change.  A failed reference sweep propagates,
-    since no result can be reported without the k=1 curve, and a ladder too
-    short for BD-Rate raises ValueError before any encode.
-    total_invocations also counts the encodes of a probe that failed.
+    (no bracket, or a probe that fails) ends the bracket.  While no trial
+    but k = 1 has succeeded, the search brackets again from k = 1 with the
+    first probes of _LN_K_FALLBACKS in turn (2^(1/2), 2^(1/4), 0.5); the
+    k = 1 trial is made once and reused.  k-hat is always the best trial
+    evaluated, including the k=1 baseline, and stop_reason records why the
+    last bracket ended.  A clip no trial improves reports k-hat 1 and zero
+    for every change.  A failed reference sweep propagates, since no
+    result can be reported without the k=1 curve, and a ladder too short
+    for BD-Rate raises ValueError before any encode.  total_invocations
+    also counts the encodes of every probe that failed.
     Every sweep of the call uses the store of config.cache_dir, looked up
     once, and `pool` (optimize_clips shares one between the clips it
     searches at once), by _sweep's rule.
     """
     _require_bd_ladder(config)
     cache = _default_store(config.cache_dir)
-    trials: list[TrialRecord] = []
-    failed_encodes = 0  # those of the probe that failed, which ends the search
+    failed_encodes = 0  # those of the failed probes, each of which ends a bracket
     reference, _ = _sweep(clip_id, 1.0, config, backend, cache, pool)
+    trials = [TrialRecord(k=1.0, curve=reference, cost=0.0, encoder_invocations=0)]
 
     def cost(ln_k: float) -> float:
         trial = evaluate_cost(clip_id, math.exp(ln_k), reference, config, backend, cache, pool=pool)
-        trials.append(trial)
+        if trial.k != 1.0:  # the k=1 trial is trials[0], for every bracket
+            trials.append(trial)
         return trial.cost
 
-    try:
-        bracket = bracket_minimum(cost, *_LN_K_SEEDS, lo=_LN_K_BOUNDS[0], hi=_LN_K_BOUNDS[1])
-        _, _, trace = brent_minimize(cost, bracket, DEFAULT_OPTIMIZER)
-        stop_reason = "converged" if trace.converged else "max_iters"
-    except BracketError:
-        stop_reason = "no_bracket"
-    except RdtuneError as exc:
-        stop_reason = "failed_probe"
-        failed_encodes = getattr(exc, "fresh_encodes", 0)
+    for first in (_LN_K_SEEDS[0], *_LN_K_FALLBACKS):
+        try:
+            bracket = bracket_minimum(cost, first, _LN_K_SEEDS[1],
+                                      lo=_LN_K_BOUNDS[0], hi=_LN_K_BOUNDS[1])
+            _, _, trace = brent_minimize(cost, bracket, DEFAULT_OPTIMIZER)
+            stop_reason = "converged" if trace.converged else "max_iters"
+        except BracketError:
+            stop_reason = "no_bracket"
+        except RdtuneError as exc:
+            stop_reason = "failed_probe"
+            failed_encodes += getattr(exc, "fresh_encodes", 0)
+        if len(trials) > 1:  # a trial other than k=1 succeeded
+            break
 
-    if not any(_quantize_k(t.k) == _quantize_k(1.0) for t in trials):
-        trials.insert(0, TrialRecord(k=1.0, curve=reference, cost=0.0, encoder_invocations=0))
     best = min(trials, key=lambda t: (t.cost, abs(math.log(t.k))))
     improved = best.cost < 0.0
     return OptimizationResult(
@@ -712,7 +725,7 @@ def optimize_clip(
         scope=config.scope,
         k_hat=best.k,
         bd_rate=best.cost,
-        iterations=sum(1 for t in trials if _quantize_k(t.k) != _quantize_k(1.0)),
+        iterations=len(trials) - 1,
         stop_reason=stop_reason,
         improved=improved,
         rd2_savings=matched_qp_savings(reference, best.curve, config.rd2_qp) if improved else 0.0,

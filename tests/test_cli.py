@@ -237,6 +237,15 @@ class TestPerClipOutput:
         assert [p.name for p in out.iterdir()] == [name]
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("argv", [["sweep", "--k", "2"], ["optimize"]], ids=["sweep", "optimize"])
+    def test_existing_file_without_a_suffix_is_a_file(self, tmp_path, capsys, argv):
+        out = tmp_path / "result"
+        out.write_text("")
+        assert cli_dispatch([*argv, "--synthetic", "default", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["clip_id"] == "synthetic"
+        assert [p.name for p in tmp_path.iterdir()] == ["result"]
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize(
         "argv, name",
         [

@@ -123,6 +123,20 @@ class FlakyBackend(SyntheticEncoder):
         raise EncodeFailure(message, captured_output)
 
 
+class FailingKs(FlakyBackend):
+    """Fails every encode at qp 49 whose k `fails` accepts, so each such
+    probe fails after its retry; a failed call counts as an invocation."""
+
+    def __init__(self, model, fails):
+        super().__init__(model, "clip", fail_qp=49)
+        self.fails = fails
+
+    def measure(self, job):
+        if job.qp == self.fail_qp and self.fails(job.k):
+            self.fail("injected persistent failure")
+        return SyntheticEncoder.measure(self, job)
+
+
 class TestSweepConfig:
     def test_default_ladders(self):
         assert SweepConfig(codec=CodecId.AV1).qp_ladder == (27, 39, 49, 59, 63)
@@ -443,7 +457,7 @@ class TestStoreAndPool:
             backend = synthetic_backend(f"clip{i}")
             optimize_clip(f"clip{i}", config, pooled(backend) if i % 2 else backend)
         records = RunLedger.load(tmp_path / "ledger.jsonl")
-        assert len(records) >= 20 * 5 * 5
+        assert len(records) == 20 * (1 + 3) * 5  # the reference and 3 trials each
         assert sum(lines_read) == 0
 
     def test_new_cache_dir_releases_old_store(self, tmp_path):
@@ -469,7 +483,7 @@ class TestStoreAndPool:
         opened = opened_pools
         config = av1_config(cache_dir=tmp_path)
         result = optimize_clip("clip", config, pooled(synthetic_backend()))
-        assert result.iterations > 3
+        assert result.iterations == 3
         assert len(opened) == 1 + result.iterations
         assert all(p._max_workers == config.workers and p._shutdown for p in opened)
 
@@ -1141,13 +1155,13 @@ class TestOptimizeClip:
         assert backend.invocations == result.total_invocations + 5  # + reference sweep
 
     def test_default_model_probe_count(self, tmp_path):
-        # Brent's first two steps may both be parabolic, and it stops once a
-        # parabolic step predicts less than ftol (0.05 BD-Rate points) of
-        # gain, before the interval reaches xtol*(|ln k| + 1/2).
+        # The bracket k = 1, 2, 6.14, then one parabolic step to 3.35: Brent
+        # stops at the next one, which predicts less than ftol (0.05 BD-Rate
+        # points) of gain, before the interval reaches xtol*(|ln k| + 1/2).
         result = optimize_clip("clip", av1_config(cache_dir=tmp_path), synthetic_backend())
         assert result.stop_reason == "converged"
-        assert result.iterations == 4
-        assert result.total_invocations == 20
+        assert result.iterations == 3
+        assert result.total_invocations == 15
 
     def test_control_probe_count(self, tmp_path):
         # A clip with nothing to gain stops at Brent's first parabolic step,
@@ -1206,21 +1220,47 @@ class TestOptimizeClip:
 
     def test_persistent_failure_degenerates_to_one(self, tmp_path):
         # The k=1 reference itself must succeed; fail only k != 1 jobs.
-        class FailNonReference(FlakyBackend):
-            def measure(self, job):
-                if abs(job.k - 1.0) > 1e-9 and job.qp == 49:
-                    self.fail("injected persistent failure")
-                return SyntheticEncoder.measure(self, job)
-
-        backend = FailNonReference(SyntheticClipModel(), "clip", fail_qp=49)
+        backend = FailingKs(SyntheticClipModel(), lambda k: abs(k - 1.0) > 1e-9)
         result = optimize_clip("clip", av1_config(cache_dir=tmp_path), backend)
         assert result.k_hat == 1.0
         assert result.bd_rate == 0.0
         assert not result.improved
         assert result.stop_reason == "failed_probe"
-        # The first failed probe ends the search: the reference sweep plus
-        # one probe, whose failed encode is retried once.
-        assert backend.invocations <= 5 + 5 + 1
+        assert [t.k for t in result.trials] == [1.0]
+        # Each failed first probe (k = 2, then the fallbacks 2^(1/2), 2^(1/4)
+        # and 0.5) ends its bracket: the reference sweep plus four probes,
+        # each of whose failed encode is retried once.  The result counts
+        # each probe's 5 encodes, and, as for any sweep, not the retry.
+        assert backend.invocations == 5 + 4 * (5 + 1)
+        assert result.total_invocations == 4 * 5
+
+    def test_failed_first_probe_falls_back_above_one(self, tmp_path):
+        # The k = 2 probe's encode at qp 49 fails, and so does its retry: a
+        # new bracket from k = 1 first probes 2^(1/2), and the search still
+        # finds the default model's optimum.
+        backend = FailingKs(SyntheticClipModel(), lambda k: abs(k - 2.0) < 1e-9)
+        result = optimize_clip("clip", av1_config(cache_dir=tmp_path), backend)
+        ks = [t.k for t in result.trials]
+        assert ks[:2] == [1.0, pytest.approx(2 ** 0.5, rel=1e-12)]
+        assert ks.count(1.0) == 1 and all(abs(k - 2.0) > 1e-9 for k in ks)
+        assert result.improved and result.stop_reason == "converged"
+        assert abs(result.k_hat - oracles.GRID_ARGMIN_K) <= 0.15
+        # The failed k = 2 probe's 5 encodes are counted; its retry is not.
+        assert result.total_invocations == 5 * result.iterations + 5
+        assert backend.invocations == 5 + result.total_invocations + 1
+
+    def test_k_star_below_one_reaches_the_last_fallback(self, tmp_path):
+        # Every encode above k = 1 at qp 49 fails: the probes k = 2, 2^(1/2)
+        # and 2^(1/4) fail in turn, and the bracket from 0.5 finds a gain
+        # below 1.
+        backend = FailingKs(SyntheticClipModel(c=2.0, k_star=0.4), lambda k: k > 1.0 + 1e-9)
+        result = optimize_clip("clip", av1_config(cache_dir=tmp_path), backend)
+        ks = [t.k for t in result.trials]
+        assert ks[:2] == [1.0, 0.5]
+        assert ks.count(1.0) == 1 and max(ks) == 1.0
+        assert result.improved and result.k_hat < 1.0
+        assert result.total_invocations == 5 * result.iterations + 3 * 5
+        assert backend.invocations == 5 + result.total_invocations + 3
 
     def test_transient_reference_failure_recovers(self, tmp_path):
         # First failure lands in the k=1 reference sweep; the retry only
@@ -1232,8 +1272,8 @@ class TestOptimizeClip:
         assert backend.invocations == 5 + 1 + result.total_invocations
 
     def test_transient_trial_failure_recovers(self, tmp_path):
-        # The first trial is the k=0.5 seed; one of its encodes fails once.
-        backend = FlakyBackend(SyntheticClipModel(), "clip", fail_qp=59, fail_k=0.5, failures=1)
+        # The first trial is the k=2 seed; one of its encodes fails once.
+        backend = FlakyBackend(SyntheticClipModel(), "clip", fail_qp=59, fail_k=2.0, failures=1)
         result = optimize_clip("clip", av1_config(cache_dir=tmp_path), backend)
         assert backend.remaining_failures == 0
         assert result.improved
@@ -1243,8 +1283,8 @@ class TestOptimizeClip:
     @pytest.mark.parametrize(
         "model, k_hat, bd, stop_reason",
         [
-            # The k=16 probe underflows the quality model while bracketing.
-            (SyntheticClipModel(c=4.0, k_star=2.5), None, -72.60, "failed_probe"),
+            # The k=1/16 probe underflows the quality model while bracketing.
+            (SyntheticClipModel(c=4.0, k_star=0.4), None, -38.15, "failed_probe"),
             # Still descending at the k=16 bound: no bracket.
             (SyntheticClipModel(c=0.8, k_star=10.0), 16.0, -81.81, "no_bracket"),
         ],
@@ -1265,8 +1305,12 @@ class TestOptimizeClip:
         [
             ({}, "converged"),
             ({"gamma": 0.01, "k_star": 1.0}, "converged"),
-            ({"c": 4.0, "k_star": 2.5}, "failed_probe"),
+            ({"c": 4.0, "k_star": 0.4}, "failed_probe"),
             ({"c": 0.8, "k_star": 10.0}, "no_bracket"),
+            # k = 2 underflows; the fallback brackets from 2^(1/2), then
+            # 2^(1/4), reuse the k=1 trial.
+            ({"c": 8.0, "k_star": 0.4}, "converged"),
+            ({"c": 8.0, "k_star": 0.1}, "failed_probe"),
         ],
     )
     def test_no_two_trials_share_a_k(self, tmp_path, model_kwargs, stop_reason):
@@ -1279,15 +1323,17 @@ class TestOptimizeClip:
         assert len(ks) == len(set(ks)), sorted(ks)
 
     def test_deterministic_failure_is_tried_once(self, tmp_path):
-        # The k=0.5 seed underflows the quality model at three QPs; those
-        # encodes are not retried and the search ends at that probe.
-        backend = synthetic_backend(c=8.0, k_star=2.5)
+        # k = 1 stays above 0 dB at every QP, but each first probe (k = 2,
+        # then 2^(1/2), 2^(1/4) and 0.5) underflows the quality model at one
+        # to four QPs; those encodes are not retried, and each failed probe
+        # ends its bracket.
+        backend = synthetic_backend(s0=18.0, c=20.0, k_star=1.0)
         result = optimize_clip("clip", av1_config(cache_dir=tmp_path), backend)
-        assert backend.invocations == 5 + 5
+        assert backend.invocations == 5 + 4 * 5
         assert result.stop_reason == "failed_probe"
         assert result.k_hat == 1.0
-        # The failed probe's encodes are counted.
-        assert result.total_invocations == 5
+        # The failed probes' encodes are counted.
+        assert result.total_invocations == 4 * 5
         # A clip no trial improves reports zero change, not a missing one.
         assert not result.improved and result.bd_rate == 0.0
         for name in ("rd2_savings", "mean_savings", "msssim_change_db", "vmaf_change"):
@@ -1297,14 +1343,19 @@ class TestOptimizeClip:
         assert baseline.curve == result.reference_curve
 
     def test_failed_bd_rate_counts_its_encodes(self, tmp_path):
-        # The k=0.5 probe's sweep succeeds, but its curve shares no quality
-        # interval with the reference, so its BD-Rate raises OverlapError:
-        # the search ends there, and the probe's 5 encodes are counted.
-        backend = synthetic_backend(s0=40.0, c=6.5)
+        # The k=2 probe's sweep succeeds, but its curve shares no quality
+        # interval with the reference, so its BD-Rate raises OverlapError.
+        # The 2^(1/2) fallback gains, and its bracket's next probe (k 2.48)
+        # fails the same way, which ends the search.  Both failed probes'
+        # 5 encodes are counted.
+        backend = synthetic_backend(c=4.0, k_star=10.0)
         result = optimize_clip("clip", av1_config(cache_dir=tmp_path), backend)
         assert result.stop_reason == "failed_probe"
-        assert result.total_invocations == 5
-        assert backend.invocations == 5 + 5
+        assert [t.k for t in result.trials] == [1.0, pytest.approx(2 ** 0.5, rel=1e-12)]
+        assert result.improved
+        assert result.total_invocations == 5 + 2 * 5
+        assert backend.invocations == 5 + 5 + 2 * 5
+        assert all(r["status"] == "ok" for r in RunLedger.load(tmp_path / "ledger.jsonl"))
 
     def test_stop_reason_max_iters(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sweep, "DEFAULT_OPTIMIZER", replace(DEFAULT_OPTIMIZER, xtol=1e-9, max_iters=3, ftol=0.0))
@@ -1736,7 +1787,8 @@ class TestLedgerReplay:
         assert curves_from_ledger(RunLedger.load(path)) == [cold]
 
     def test_failed_records_change_no_curve(self, tmp_path):
-        optimize_clip("clip", av1_config(cache_dir=tmp_path), synthetic_backend(c=4.0, k_star=2.5))
+        # The k=1/16 probe underflows the quality model at two QPs.
+        optimize_clip("clip", av1_config(cache_dir=tmp_path), synthetic_backend(c=4.0, k_star=0.4))
         records = RunLedger.load(tmp_path / "ledger.jsonl")
         ok = [r for r in records if r["status"] == "ok"]
         assert len(ok) < len(records)
@@ -1784,7 +1836,10 @@ def _without_invocations(result: OptimizationResult) -> dict:
     return doc
 
 
+# perfbench's harsh grid, and its mirror image k_star -> 1/k_star, on which
+# probes above k = 1 and far below it underflow the quality model.
 HARSH_GRID = [(c, k) for c in (0.8, 2.0, 4.0, 8.0) for k in (2.5, 6.0, 10.0)]
+HARSH_GRID += [(c, 1.0 / k) for c, k in HARSH_GRID]
 
 
 class TestWarmRerun:
@@ -1847,8 +1902,9 @@ class TestWarmRerun:
 
     @pytest.mark.parametrize("store", ["kept", "reopened"])
     def test_harsh_grid_warm_rerun_makes_no_encode(self, tmp_path, monkeypatch, store):
-        # Six of these clips end on a probe that underflows the quality
-        # model; its failed encodes are replayed from the ledger.
+        # Eleven of these clips end on a failed probe, and six make probes
+        # that underflow the quality model; those failed encodes are
+        # replayed from the ledger.
         config = av1_config(cache_dir=tmp_path)
 
         models = {f"harsh_c{c:g}_k{k:g}": SyntheticClipModel(c=c, k_star=k) for c, k in HARSH_GRID}
@@ -1860,6 +1916,7 @@ class TestWarmRerun:
         cold, _ = run()
         assert sum(r.stop_reason == "failed_probe" for r in cold) >= 6
         path = tmp_path / "ledger.jsonl"
+        assert sum(r["status"] == "failed" for r in RunLedger.load(path)) >= 6
         size = path.stat().st_size
         if store == "reopened":
             monkeypatch.setattr(sweep, "_open_store", None)
