@@ -99,7 +99,6 @@ __all__ = [
     "evaluate_cost",
     "optimize_clip",
     "optimize_clips",
-    "curves_from_ledger",
     "save_result",
     "load_result",
 ]
@@ -486,11 +485,11 @@ def _sweep(
     backend in ladder order on this thread.  Store hits, replayed failures
     and encodes all go into one table qp -> outcome.  A pooled encode's task
     appends its own record; the sweep waits on the tasks in ladder order.
-    A failed sweep raises SweepError naming its first failed qp in ladder
-    order; its fresh_encodes counts the encodes it dispatched.  A shut-down
-    pool's RuntimeError (from submit) or CancelledError (for a cancelled
-    encode) propagates instead; an encode already running still records
-    itself."""
+    fresh_encodes counts the encoder runs, retries included.  A failed sweep
+    raises SweepError naming its first failed qp in ladder order, with that
+    count as its fresh_encodes.  A shut-down pool's RuntimeError (from
+    submit) or CancelledError (for a cancelled encode) propagates instead;
+    an encode already running still records itself."""
     cache = cache or _default_store(config.cache_dir)
     if pool is None and not backend.in_process:  # a pool for this sweep alone
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
@@ -501,6 +500,7 @@ def _sweep(
     outcomes: dict[int, RDPoint | Exception] = {}
     hits: list[dict] = []
     pending: list[tuple[int, EncodeJob, str]] = []
+    retried: list[int] = []
     for qp in config.qp_ladder:
         job = EncodeJob(clip_id, config.codec, qp, k, config.group, config.scope, work_dir)
         key = cache_key(job, **digests)
@@ -519,6 +519,7 @@ def _sweep(
             try:
                 outcome = backend.measure(job)
             except EncodeFailure:  # a failed child process may succeed again
+                retried.append(qp)
                 outcome = backend.measure(job)
         except Exception as exc:
             outcome = exc
@@ -536,6 +537,7 @@ def _sweep(
         for fut in futures:
             fut.result()
 
+    fresh = len(pending) + len(retried)
     failed = [qp for qp in config.qp_ladder if not isinstance(outcomes[qp], RDPoint)]
     if failed:
         exc = outcomes[failed[0]]
@@ -544,7 +546,7 @@ def _sweep(
         if isinstance(exc, EncodeFailure) and exc.captured_output:
             message += "; stderr tail: " + " | ".join(exc.captured_output.splitlines()[-3:])
         error = SweepError(message)
-        error.fresh_encodes = len(pending)
+        error.fresh_encodes = fresh
         raise error from exc
 
     curve = RDCurve(
@@ -555,7 +557,7 @@ def _sweep(
         scope=config.scope,
         points=tuple(outcomes[qp] for qp in config.qp_ladder),
     )
-    return curve, len(pending)
+    return curve, fresh
 
 
 def run_sweep(
@@ -572,7 +574,8 @@ def run_sweep(
 
 @dataclass(frozen=True)
 class TrialRecord(_Document):
-    """One evaluated scale factor and what it cost."""
+    """One evaluated scale factor and what it cost: encoder_invocations
+    counts its sweep's encoder runs, retries included (0 at k = 1)."""
 
     k: float
     curve: RDCurve
@@ -685,10 +688,10 @@ def optimize_clip(
     for every change.  A failed reference sweep propagates, since no
     result can be reported without the k=1 curve, and a ladder too short
     for BD-Rate raises ValueError before any encode.  total_invocations
-    also counts the encodes of every probe that failed.
-    Every sweep of the call uses the store of config.cache_dir, looked up
-    once, and `pool` (optimize_clips shares one between the clips it
-    searches at once), by _sweep's rule.
+    counts every encoder run but the reference sweep's, failed probes' and
+    retries included.  Every sweep of the call uses the store of
+    config.cache_dir, looked up once, and `pool` (optimize_clips shares one
+    between the clips it searches at once), by _sweep's rule.
     """
     _require_bd_ladder(config)
     cache = _default_store(config.cache_dir)
@@ -792,42 +795,3 @@ def optimize_clips(
         pool.shutdown(wait=False, cancel_futures=True)
         runner.shutdown(cancel_futures=True)
         pool.shutdown()
-
-
-def curves_from_ledger(records: list[dict]) -> list[RDCurve]:
-    """Rebuild all complete RD curves recorded in a ledger.
-
-    Each record is read as PointCache reads it, so a key's first readable ok
-    record is its point (one without status, written before the field
-    existed, is ok); a failed record, or one whose point or curve fields do
-    not read, is skipped.  Points are grouped by (clip, codec, k quantized
-    to 1e-6, group, scope, template digest, clip digest), so two encoder
-    builds, or two clip contents, under one clip id make two curves; a curve
-    takes the k of its group's first record.
-    """
-    first: dict[str, tuple[tuple, float, RDPoint]] = {}
-    for rec in records:
-        try:
-            key = rec["cache_key"]
-            if key not in first and isinstance(point := _outcome(rec), RDPoint):
-                k = _json_field(rec, "k")
-                ident = (_json_field(rec, "clip", str),
-                         CodecId.parse(_json_field(rec, "codec", str)),
-                         _quantize_k(k),
-                         FrameTypeGroup.parse(_json_field(rec, "group", str)),
-                         LambdaScope.parse(_json_field(rec, "scope", str)),
-                         _json_field(rec, "template_digest", str, null=True),
-                         _json_field(rec, "clip_digest", str, null=True))
-                first[key] = (ident, k, point)
-        except (ValueError, KeyError, TypeError):
-            continue
-
-    groups: dict[tuple, tuple[float, dict[int, RDPoint]]] = {}
-    for ident, k, point in first.values():
-        groups.setdefault(ident, (k, {}))[1][point.qp] = point
-    return [
-        RDCurve(clip_id=clip, codec=codec, k=k, group=group, scope=scope,
-                points=tuple(by_qp[qp] for qp in sorted(by_qp)))
-        for (clip, codec, _kq, group, scope, *_digests), (k, by_qp) in groups.items()
-        if len(by_qp) >= 2
-    ]

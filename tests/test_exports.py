@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -55,3 +56,22 @@ def test_package_exports_exactly_the_module_lists():
     assert [n for n in DROPPED if hasattr(rdtune, n)] == []
     # Dropped from the package, kept in their modules.
     assert all(any(hasattr(m, n) for m in LIBRARY) for n in DROPPED)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_every_export_is_read_by_a_pipeline_path():
+    # A public name that neither the package, the demos nor the benchmark
+    # reads (as a name or an attribute) is API no pipeline path uses.
+    read = set()
+    for top in ("src/rdtune", "demos", "perfbench"):
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_bytes(), str(path))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+    modules = {info.name for info in pkgutil.iter_modules(rdtune.__path__)}
+    exported = {n for n in vars(rdtune) if n[0] != "_"} - modules
+    assert sorted(exported - read) == []

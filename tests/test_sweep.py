@@ -31,7 +31,6 @@ from rdtune.sweep import (
     SweepConfig,
     TrialRecord,
     cache_key,
-    curves_from_ledger,
     evaluate_cost,
     load_result,
     optimize_clip,
@@ -1101,7 +1100,6 @@ class TestFailureRecords:
         backend = synthetic_backend()
         assert run_sweep("clip", 1.0, config, backend, cache=PointCache(RunLedger(path))) == cold
         assert backend.invocations == 0
-        assert curves_from_ledger(RunLedger.load(path)) == [cold]
 
 
 class TestEvaluateCost:
@@ -1230,9 +1228,9 @@ class TestOptimizeClip:
         # Each failed first probe (k = 2, then the fallbacks 2^(1/2), 2^(1/4)
         # and 0.5) ends its bracket: the reference sweep plus four probes,
         # each of whose failed encode is retried once.  The result counts
-        # each probe's 5 encodes, and, as for any sweep, not the retry.
+        # each probe's 5 encodes and its retry.
         assert backend.invocations == 5 + 4 * (5 + 1)
-        assert result.total_invocations == 4 * 5
+        assert result.total_invocations == 4 * (5 + 1)
 
     def test_failed_first_probe_falls_back_above_one(self, tmp_path):
         # The k = 2 probe's encode at qp 49 fails, and so does its retry: a
@@ -1245,9 +1243,9 @@ class TestOptimizeClip:
         assert ks.count(1.0) == 1 and all(abs(k - 2.0) > 1e-9 for k in ks)
         assert result.improved and result.stop_reason == "converged"
         assert abs(result.k_hat - oracles.GRID_ARGMIN_K) <= 0.15
-        # The failed k = 2 probe's 5 encodes are counted; its retry is not.
-        assert result.total_invocations == 5 * result.iterations + 5
-        assert backend.invocations == 5 + result.total_invocations + 1
+        # The failed k = 2 probe's 5 encodes and its retry are counted.
+        assert result.total_invocations == 5 * result.iterations + 5 + 1
+        assert backend.invocations == 5 + result.total_invocations
 
     def test_k_star_below_one_reaches_the_last_fallback(self, tmp_path):
         # Every encode above k = 1 at qp 49 fails: the probes k = 2, 2^(1/2)
@@ -1259,8 +1257,8 @@ class TestOptimizeClip:
         assert ks[:2] == [1.0, 0.5]
         assert ks.count(1.0) == 1 and max(ks) == 1.0
         assert result.improved and result.k_hat < 1.0
-        assert result.total_invocations == 5 * result.iterations + 3 * 5
-        assert backend.invocations == 5 + result.total_invocations + 3
+        assert result.total_invocations == 5 * result.iterations + 3 * (5 + 1)
+        assert backend.invocations == 5 + result.total_invocations
 
     def test_transient_reference_failure_recovers(self, tmp_path):
         # First failure lands in the k=1 reference sweep; the retry only
@@ -1272,13 +1270,15 @@ class TestOptimizeClip:
         assert backend.invocations == 5 + 1 + result.total_invocations
 
     def test_transient_trial_failure_recovers(self, tmp_path):
-        # The first trial is the k=2 seed; one of its encodes fails once.
+        # The first trial is the k=2 seed; one of its encodes fails once,
+        # and its retry counts in that trial's invocations.
         backend = FlakyBackend(SyntheticClipModel(), "clip", fail_qp=59, fail_k=2.0, failures=1)
         result = optimize_clip("clip", av1_config(cache_dir=tmp_path), backend)
         assert backend.remaining_failures == 0
         assert result.improved
         assert abs(result.k_hat - oracles.GRID_ARGMIN_K) <= 0.15
-        assert backend.invocations == 5 + 1 + result.total_invocations
+        assert [t.encoder_invocations for t in result.trials if abs(t.k - 2.0) < 1e-9] == [5 + 1]
+        assert backend.invocations == 5 + result.total_invocations
 
     @pytest.mark.parametrize(
         "model, k_hat, bd, stop_reason",
@@ -1699,13 +1699,19 @@ class TestBudget:
 
 class TestLedgerReplay:
     def test_replay_reproduces_result_fields(self, tmp_path):
+        # Every curve is rebuilt from the ledger alone: a warm sweep at each
+        # recorded k, over a fresh store, makes no encode.
         config = av1_config(cache_dir=tmp_path)
         result = optimize_clip("clip", config, synthetic_backend())
 
-        records = RunLedger.load(tmp_path / "ledger.jsonl")
-        curves = {c.k: c for c in curves_from_ledger(records)}
+        path = tmp_path / "ledger.jsonl"
+        records = RunLedger.load(path)
+        backend, store = synthetic_backend(), PointCache(RunLedger(path))
+        curves = {k: run_sweep("clip", k, config, backend, cache=store) for k in {r["k"] for r in records}}
+        assert backend.invocations == 0
         reference = curves.pop(1.0)
         assert reference == result.reference_curve
+        assert curves == {t.k: t.curve for t in result.trials if t.k != 1.0}
 
         costs = {k: bd_rate(reference, c) for k, c in curves.items()}
         best_k = min(costs, key=lambda k: (costs[k], abs(math.log(k))))
@@ -1723,21 +1729,12 @@ class TestLedgerReplay:
         assert result.iterations == len(trial_ks)
         assert result.total_invocations == 5 * len(fresh_ks)
 
-    def test_k_below_quantum_keeps_one_curve(self, tmp_path):
-        run_sweep("clip", 2.0, av1_config(cache_dir=tmp_path), synthetic_backend())
-        records = RunLedger.load(tmp_path / "ledger.jsonl")
-        records[2]["k"] += 2e-7
-        curves = curves_from_ledger(records)
-        assert len(curves) == 1
-        assert len(curves[0].points) == 5
-        assert curves[0].k == 2.0
-
     def test_dedupe_first_point_wins(self, tmp_path):
         # Stores a and b on one ledger, standing in for two processes in
         # lockstep, both miss the k=1 ladder and encode it to different
         # points under the same keys: b's first encode lets a's whole sweep
-        # run and append first.  The rebuilt curve is the one a fresh store
-        # serves: a key's first point wins.
+        # run and append first.  A fresh store serves a's curve: a key's
+        # first point wins.
         config = av1_config(cache_dir=tmp_path)
         path = tmp_path / "ledger.jsonl"
         a, b = PointCache(RunLedger(path)), PointCache(RunLedger(path))
@@ -1756,43 +1753,44 @@ class TestLedgerReplay:
         served = run_sweep("clip", 1.0, config, backend, cache=PointCache(RunLedger(path)))
         assert backend.invocations == 0
         assert served == firsts[0] != second
-        assert curves_from_ledger(records) == [served]
 
     def test_two_builds_under_one_clip_id_make_two_curves(self, tmp_path):
-        # One model, so only the template digest tells the builds apart.
+        # One clip digest, so only the template digest tells the builds
+        # apart; they encode different points.
         class Build(SyntheticEncoder):
             def __init__(self, build):
-                super().__init__({"clip": SyntheticClipModel()})
+                super().__init__({"clip": SyntheticClipModel(r0=build)})
                 self.build = build
 
             def digests(self, clip_id):
-                return self.build, super().digests(clip_id)[1]
+                return f"build {self.build}", "one clip"
 
         config = av1_config(cache_dir=tmp_path)
-        builds = [Build("b1"), Build("b2")]
+        r0s = (30000.0, 40000.0)
+        builds = [Build(r0) for r0 in r0s]
         curves = [run_sweep("clip", 1.0, config, b) for b in builds]
         assert [b.invocations for b in builds] == [5, 5]
-        assert curves_from_ledger(RunLedger.load(tmp_path / "ledger.jsonl")) == curves
+        assert curves[0] != curves[1]
+        path = tmp_path / "ledger.jsonl"
+        for r0, curve in zip(r0s, curves):
+            warm = Build(r0)
+            assert run_sweep("clip", 1.0, config, warm, cache=PointCache(RunLedger(path))) == curve
+            assert warm.invocations == 0
 
     def test_lines_that_are_not_records_are_skipped(self, tmp_path):
-        # Read as PointCache reads them: the lines the store skips add no
-        # point to a curve, and raise nothing.
-        cold = run_sweep("clip", 1.0, av1_config(cache_dir=tmp_path), synthetic_backend())
+        # The lines the store skips add no point to a curve, and raise
+        # nothing.
+        config = av1_config(cache_dir=tmp_path)
+        cold = run_sweep("clip", 1.0, config, synthetic_backend())
         path = tmp_path / "ledger.jsonl"
         without_clip = {f: v for f, v in RunLedger.load(path)[0].items() if f != "clip"}
         with path.open("ab") as fh:
             fh.write(b"\xff\xfe\x00\n")  # not UTF-8
             fh.write(b'[]\n"failed"\n5\nnull\n{"status": "failed"}\n[{"cache_key": "a"}]\n')
             fh.write(b'{"status": "ok"}\n' + json.dumps(without_clip).encode() + b"\n")
-        assert curves_from_ledger(RunLedger.load(path)) == [cold]
-
-    def test_failed_records_change_no_curve(self, tmp_path):
-        # The k=1/16 probe underflows the quality model at two QPs.
-        optimize_clip("clip", av1_config(cache_dir=tmp_path), synthetic_backend(c=4.0, k_star=0.4))
-        records = RunLedger.load(tmp_path / "ledger.jsonl")
-        ok = [r for r in records if r["status"] == "ok"]
-        assert len(ok) < len(records)
-        assert curves_from_ledger(records) == curves_from_ledger(ok)
+        backend = synthetic_backend()
+        assert run_sweep("clip", 1.0, config, backend, cache=PointCache(RunLedger(path))) == cold
+        assert backend.invocations == 0
 
 
 class InjectedFaults(SyntheticEncoder):
