@@ -4,9 +4,10 @@ Bracketing and Brent's method
 
 Each cost evaluation in this project is expensive (a full QP-ladder
 sweep), so the scalar minimizer is built to be frugal and auditable: it
-brackets a minimum by golden-ratio downhill expansion, refines with
-Brent's parabolic/golden iteration, never leaves the bracket, and returns
-only points it actually evaluated.
+brackets a minimum by stepping downhill at the seeds' own spacing (the k
+search's seeds are an octave apart), refines with Brent's parabolic/golden
+iteration, never leaves the bracket, and returns only points it actually
+evaluated.
 """
 
 import math
@@ -14,8 +15,9 @@ import math
 import rdtune as rt
 
 ################################################################################
-# Bracket a parabola from two seeds. The bracket triple (a, b, c) has the
-# middle value below both ends, so a minimum is pinned inside.
+# Bracket a parabola from two seeds, stepping 0.5 at a time. The bracket
+# triple (a, b, c) has the middle value below both ends, so a minimum is
+# pinned inside.
 
 quadratic = lambda x: (x - 2.5) ** 2
 bracket = rt.bracket_minimum(quadratic, 0.5, 1.0)

@@ -1,9 +1,13 @@
 """Derivative-free scalar minimization: bracketing plus Brent's method.
 
-brent_minimize runs the classic parabolic-interpolation-guarded-by-
-golden-section iteration and guarantees that every probe stays strictly
-inside the initial bracket and that the returned point is the best one
-actually evaluated, never an unevaluated interpolate.  Both guarantees
+bracket_minimum steps downhill from two seeds at their own spacing, not by
+the textbook step that grows by phi: a caller that knows its scale, as the
+k search does with seeds an octave apart, gets a bracket one spacing wide
+on each side of its lowest point.  brent_minimize runs the classic
+parabolic-interpolation-guarded-by-golden-section iteration and guarantees
+that every probe stays strictly inside the initial bracket and that the
+returned point is the best one actually evaluated, never an unevaluated
+interpolate.  Both guarantees
 matter when one evaluation costs a full encode sweep, and so do four
 departures from the textbook start and stop: the step history starts at
 the bracket width, so the first two steps may both be parabolic, the first
@@ -31,14 +35,14 @@ __all__ = [
 ]
 
 _GOLDEN = 0.3819660112501051  # 2 - phi
-_EXPAND = 1.618033988749895  # phi
 _ZEPS = 1e-11
 _MAX_EXPANSIONS = 50
 
 
 @dataclass(frozen=True)
 class Bracket:
-    """Triple a < b < c with f(b) below both ends, so a minimum lies inside."""
+    """Triple a < b < c with f(b) below one end and not above the other,
+    so a minimum lies inside [a, c]."""
 
     a: float
     b: float
@@ -50,9 +54,10 @@ class Bracket:
     def __post_init__(self) -> None:
         if not (self.a < self.b < self.c):
             raise BracketError(f"bracket abscissae not ordered: {self.a}, {self.b}, {self.c}")
-        if not (self.fb < self.fa and self.fb < self.fc):
+        if not (self.fb <= min(self.fa, self.fc) and self.fb < max(self.fa, self.fc)):
             raise BracketError(
-                f"midpoint not below both ends: f={self.fa}, {self.fb}, {self.fc}"
+                f"midpoint not below one end and at most the other: "
+                f"f={self.fa}, {self.fb}, {self.fc}"
             )
 
 
@@ -91,27 +96,35 @@ def bracket_minimum(
     lo: float = -math.inf,
     hi: float = math.inf,
 ) -> Bracket:
-    """Find a minimum bracket by golden-ratio downhill expansion from two seeds.
+    """Find a minimum bracket by stepping downhill from two seeds at their
+    spacing.
 
-    Expansion is clamped to [lo, hi]; a function still heading downhill at
-    a clamp (or after _MAX_EXPANSIONS steps) raises BracketError.
+    Every probe lies on the grid x1 + j*(x1 - x0), computed as a multiple
+    of the spacing from x1, so a spacing that divides the distance from x1
+    to lo or hi lands on that edge exactly.  Stepping stops at the first
+    probe not below the lowest point so far; a tie there gives a bracket
+    that ties at one end.  Steps are clamped to [lo, hi]; a function still
+    heading downhill at a clamp (or after _MAX_EXPANSIONS steps) raises
+    BracketError.
     """
     if x0 == x1:
         raise BracketError("bracket seeds must differ")
     a, b = x0, x1
     fa, fb = f(a), f(b)
+    h, j = x1 - x0, 0  # b is x1 + j*h
     if fb > fa:
         a, b, fa, fb = b, a, fb, fa
+        h, j = -h, 1
     # Downhill now runs a -> b.
     for _ in range(_MAX_EXPANSIONS):
-        c = b + _EXPAND * (b - a)
-        c = min(max(c, lo), hi)
+        j += 1
+        c = min(max(x1 + j * h, lo), hi)
         if c == b:
             raise BracketError(
                 f"search hit the domain edge at {b} while still descending"
             )
         fc = f(c)
-        if fc > fb:
+        if fc >= fb:
             if a > c:
                 a, c, fa, fc = c, a, fc, fa
             return Bracket(a=a, b=b, c=c, fa=fa, fb=fb, fc=fc)

@@ -34,8 +34,9 @@ each external encode makes its own temporary directory there (or in the
 system temp dir) and removes it when done; the synthetic backend writes
 no files.
 
-The search is a bracketing from the seeds k = 2 and k = 1 plus Brent over
-ln k, at DEFAULT_OPTIMIZER's tolerances (xtol in ln k, ftol in BD-Rate
+The search is a bracketing from the seeds k = 2 and k = 1, stepping at
+their spacing over the octaves of the window, plus Brent over ln k, at
+DEFAULT_OPTIMIZER's tolerances (xtol in ln k, ftol in BD-Rate
 points) and iteration cap: Brent stops on xtol, on a parabolic step that
 predicts less than ftol of gain, or after two trials in a row that each
 gain less than ftol on the best cost so far.  ftol (0.05) is set by the
@@ -45,7 +46,8 @@ whose sweep or BD-Rate fails, or no bracket inside the k bounds) ends the
 bracket.  If no trial but k = 1 has succeeded by then, the search brackets
 again from k = 1 with the first probe 2^(1/2), then 2^(1/4), then 0.5,
 until one gives a successful trial; every bracket reuses the one k = 1
-trial.  k-hat is the best trial evaluated, including the k=1 baseline, so
+trial, and a k whose probe failed raises that failure again, with no sweep.
+k-hat is the best trial evaluated, including the k=1 baseline, so
 no clip can regress: reported bd_rate is always <= 0.  The result's
 stop_reason says why the last bracket ended.  Only an encode whose
 child process failed (EncodeFailure) is retried, once; every other error
@@ -115,10 +117,11 @@ DEFAULT_QP_LADDERS: dict[CodecId, tuple[int, ...]] = {
 DEFAULT_OPTIMIZER = OptimizerConfig(xtol=0.01, max_iters=25, ftol=0.05)
 
 # The search over ln k: the window k in [1/16, 16] and the downhill seeds
-# k = 2 and k = 1.  Most clips gain above k = 1, so a first probe below it
-# mostly spends its sweep on the wrong side.  While no trial but k = 1 has
-# succeeded, the search brackets again from k = 1 with these first probes
-# in turn: two steps back toward 1, then the other side.
+# k = 2 and k = 1, whose spacing, one octave, divides the window, so the
+# bracket's steps land on its edges.  Most clips gain above k = 1, so a
+# first probe below it mostly spends its sweep on the wrong side.  While no
+# trial but k = 1 has succeeded, the search brackets again from k = 1 with
+# these first probes in turn: two steps back toward 1, then the other side.
 _LN_K_BOUNDS = (math.log(1.0 / 16.0), math.log(16.0))
 _LN_K_SEEDS = (math.log(2.0), 0.0)
 _LN_K_FALLBACKS = (math.log(2.0) / 2.0, math.log(2.0) / 4.0, math.log(0.5))
@@ -676,13 +679,16 @@ def optimize_clip(
     """Find the scale factor minimizing BD-Rate against the clip's k=1 curve.
 
     Brackets downhill from the seeds k = 2 and k = 1 inside the window
-    k in [1/16, 16], then runs Brent with DEFAULT_OPTIMIZER, both over
-    ln k.  Every probe is a trial; a repeated probe would cost no encodes,
-    since the cache serves its points.  Any RdtuneError raised on the way
-    (no bracket, or a probe that fails) ends the bracket.  While no trial
-    but k = 1 has succeeded, the search brackets again from k = 1 with the
-    first probes of _LN_K_FALLBACKS in turn (2^(1/2), 2^(1/4), 0.5); the
-    k = 1 trial is made once and reused.  k-hat is always the best trial
+    k in [1/16, 16], one octave per step, then runs Brent with
+    DEFAULT_OPTIMIZER, both over ln k.  Every probe is a trial; a repeated
+    probe would cost no encodes, since the cache serves its points.  Any
+    RdtuneError raised on the way (no bracket, or a probe that fails) ends
+    the bracket.  While no trial but k = 1 has succeeded, the search
+    brackets again from k = 1 with the first probes of _LN_K_FALLBACKS in
+    turn (2^(1/2), 2^(1/4), 0.5); the k = 1 trial is made once and reused.
+    A probe at a k whose probe already failed in this call raises the same
+    error again and makes no sweep, so a failed child encode, which the
+    store does not keep, is not tried twice.  k-hat is always the best trial
     evaluated, including the k=1 baseline, and stop_reason records why the
     last bracket ended.  A clip no trial improves reports k-hat 1 and zero
     for every change.  A failed reference sweep propagates, since no
@@ -695,12 +701,22 @@ def optimize_clip(
     """
     _require_bd_ladder(config)
     cache = _default_store(config.cache_dir)
-    failed_encodes = 0  # those of the failed probes, each of which ends a bracket
+    failures: dict[int, RdtuneError] = {}  # quantized k -> the error its probe raised
     reference, _ = _sweep(clip_id, 1.0, config, backend, cache, pool)
     trials = [TrialRecord(k=1.0, curve=reference, cost=0.0, encoder_invocations=0)]
 
     def cost(ln_k: float) -> float:
-        trial = evaluate_cost(clip_id, math.exp(ln_k), reference, config, backend, cache, pool=pool)
+        k = math.exp(ln_k)
+        key = _quantize_k(k)
+        # A failed k is not probed again: the store does not keep a failed
+        # child encode, which another try might encode after all.
+        if key in failures:
+            raise failures[key]
+        try:
+            trial = evaluate_cost(clip_id, k, reference, config, backend, cache, pool=pool)
+        except RdtuneError as exc:
+            failures[key] = exc
+            raise
         if trial.k != 1.0:  # the k=1 trial is trials[0], for every bracket
             trials.append(trial)
         return trial.cost
@@ -713,9 +729,8 @@ def optimize_clip(
             stop_reason = "converged" if trace.converged else "max_iters"
         except BracketError:
             stop_reason = "no_bracket"
-        except RdtuneError as exc:
+        except RdtuneError:
             stop_reason = "failed_probe"
-            failed_encodes += getattr(exc, "fresh_encodes", 0)
         if len(trials) > 1:  # a trial other than k=1 succeeded
             break
 
@@ -735,7 +750,8 @@ def optimize_clip(
         mean_savings=mean_matched_savings(reference, best.curve) if improved else 0.0,
         msssim_change_db=bd_quality(reference, best.curve) if improved else 0.0,
         vmaf_change=mean_vmaf_delta(reference, best.curve) if improved else 0.0,
-        total_invocations=sum(t.encoder_invocations for t in trials) + failed_encodes,
+        total_invocations=sum(t.encoder_invocations for t in trials)
+        + sum(getattr(exc, "fresh_encodes", 0) for exc in failures.values()),
         trials=tuple(trials),
         reference_curve=reference,
     )

@@ -33,3 +33,15 @@ def test_synth_pass_cold_then_warm(perfbench_run, tmp_path):
     assert sum(o.encodes for o in cold.outcomes.values()) == cold.fresh_encodes > 0
     assert [o.encodes for o in warm.outcomes.values()] == [0] * len(clips)
     assert warm.fresh_encodes == 0
+
+
+def test_external_clips_search_counts(perfbench_run):
+    # The external_stub workload's clips, searched in-process: the octave
+    # bracket makes 4 trials and 20 encodes per clip, the reference's
+    # included (4.75 and 23.75 with a bracket that grew each step by phi).
+    clips = perfbench_run.external_clips(1)
+    p = perfbench_run.synth_pass(clips, None)
+    assert p.raised == []
+    outcomes = list(p.outcomes.values())
+    assert sum(o.encodes for o in outcomes) == 20 * len(clips)
+    assert sum(o.trials for o in outcomes) == 4 * len(clips)

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdtune.errors import BracketError
+from rdtune.encoder_bridge import SyntheticClipModel, SyntheticEncoder
+from rdtune.errors import BracketError, EncodeFailure
+from rdtune.lambda_model import CodecId, FrameTypeGroup
 from rdtune.scalar_opt import (
     Bracket,
     OptimizerConfig,
     bracket_minimum,
     brent_minimize,
 )
+from rdtune.sweep import SweepConfig, optimize_clip
 
 import oracles
 
@@ -67,6 +70,51 @@ class TestBracketMinimum:
     def test_equal_seeds_rejected(self):
         with pytest.raises(BracketError):
             bracket_minimum(quadratic, 1.0, 1.0)
+
+    def test_tie_on_the_step_grid_still_brackets(self):
+        # From seeds 6 and 5 the steps reach 3 and 2, which tie at 0.25: the
+        # bracket ties at one end, and Brent still finds the minimum inside.
+        br = bracket_minimum(quadratic, 6.0, 5.0)
+        assert (br.a, br.b, br.c) == (2.0, 3.0, 4.0)
+        assert br.fa == br.fb < br.fc
+        x, _, trace = brent_minimize(quadratic, br, OptimizerConfig())
+        assert x == pytest.approx(2.5, abs=1e-3)
+        assert all(br.a < u < br.c for u, _ in trace.evaluations)
+
+    def test_flat_bracket_rejected(self):
+        with pytest.raises(BracketError):
+            Bracket(a=0.0, b=1.0, c=2.0, fa=0.5, fb=0.5, fc=0.5)
+
+    @pytest.mark.parametrize(
+        "f, x0, x1, lo, hi, expected",
+        [
+            # The k search's window and seeds: the octaves of k.
+            (lambda x: -x, 0.0, math.log(2.0), math.log(1 / 16), math.log(16.0),
+             [0.0, math.log(2.0), math.log(4.0), math.log(8.0), math.log(16.0)]),
+            (lambda x: x, math.log(2.0), 0.0, math.log(1 / 16), math.log(16.0),
+             [math.log(2.0), 0.0, math.log(0.5), math.log(0.25), math.log(0.125),
+              math.log(1 / 16)]),
+            # The fallback from k = 2^(1/2) steps onto k = 2 and its octaves.
+            (lambda x: -x, math.log(2.0) / 2, 0.0, math.log(1 / 16), math.log(16.0),
+             [math.log(2.0) / 2, 0.0] + [j * math.log(2.0) / 2 for j in range(2, 9)]),
+            # A spacing that does not divide the window is clamped at its edge.
+            (lambda x: -x, 0.0, 1.5, -4.0, 4.0, [0.0, 1.5, 3.0, 4.0]),
+        ],
+        ids=["octaves_up", "octaves_down", "half_octaves_up", "clamped"],
+    )
+    def test_probes_follow_the_seed_spacing_and_clamp_at_the_edge(
+        self, f, x0, x1, lo, hi, expected
+    ):
+        probes = []
+
+        def g(x):
+            probes.append(x)
+            return f(x)
+
+        with pytest.raises(BracketError, match="domain edge"):
+            bracket_minimum(g, x0, x1, lo=lo, hi=hi)
+        assert probes == pytest.approx(expected, rel=1e-15, abs=1e-15)
+        assert probes[-1] in (lo, hi)
 
     def test_synthetic_cost_bracket_contains_oracle_argmin(self):
         log_argmin = math.log(oracles.GRID_ARGMIN_K)
@@ -252,3 +300,39 @@ class TestOptimizerConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             OptimizerConfig(**kwargs)
+
+
+class TwiceFailingAtTwo(SyntheticEncoder):
+    """Fails the first two encodes at qp 49 and k = 2, the first attempt
+    and the sweep's retry; a later encode there would succeed."""
+
+    def __init__(self):
+        super().__init__({"clip": SyntheticClipModel()})
+        self.attempts_at_two = 0
+
+    def measure(self, job):
+        if job.qp == 49 and job.k == 2.0:
+            self.attempts_at_two += 1
+            if self.attempts_at_two <= 2:
+                with self._count_lock:
+                    self.invocations += 1
+                raise EncodeFailure("injected transient failure")
+        return super().measure(job)
+
+
+class TestSearchBracket:
+    """The k search's brackets, from the seeds k = 2 and k = 1 and then
+    from each fallback's first probe, at their seeds' spacing."""
+
+    def test_fallback_does_not_probe_a_failed_k_again(self):
+        # The k = 2 probe fails after its retry.  The 2^(1/2) fallback gains,
+        # and its next step is k = 2: the search re-raises the first failure
+        # with no fresh encode, where a second sweep would have succeeded.
+        backend = TwiceFailingAtTwo()
+        config = SweepConfig(codec=CodecId.AV1, group=FrameTypeGroup.KF_GF_ARF)
+        result = optimize_clip("clip", config, backend)
+        assert [t.k for t in result.trials] == [1.0, pytest.approx(2 ** 0.5, rel=1e-12)]
+        assert result.stop_reason == "failed_probe"
+        assert backend.attempts_at_two == 2
+        assert result.total_invocations == 5 + (5 + 1)
+        assert backend.invocations == 5 + result.total_invocations

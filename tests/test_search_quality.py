@@ -41,13 +41,15 @@ def regret_bound(reading: float) -> float:
 
 
 # Readings at DEFAULT_OPTIMIZER (ftol 0.05 BD-Rate points), with the seeds
-# k = 2 and k = 1.  The box reads 0.0206 points; 0.0190 at ftol 0.01, 0.0312
-# at 0.3 and 0.070 at 1.0, so the bound fails a search that stops too early.
-# With the seed k = 0.5 it read 0.0269, under a bound of 0.035.
-MEAN_REGRET_BOUND = regret_bound(0.0206)
-# The mirrored box reads 0.0316 points (0.043 at ftol 0.3), and read 0.0368
-# with the seed k = 0.5.
-MIRRORED_REGRET_BOUND = regret_bound(0.0316)
+# k = 2 and k = 1 and a bracket that steps at their spacing, one octave.
+# The box reads 0.0181 points.  With a bracket that grew each step by phi it
+# read 0.0206 (bound 0.027): 0.0190 at ftol 0.01, 0.0312 at 0.3 and 0.070
+# at 1.0, so the bound fails a search that stops too early.  With the seed
+# k = 0.5 it read 0.0269, under a bound of 0.035.
+MEAN_REGRET_BOUND = regret_bound(0.0181)
+# The mirrored box reads 0.0084 points; 0.0316 with the phi bracket (0.043
+# at ftol 0.3, bound 0.041), and 0.0368 with the seed k = 0.5.
+MIRRORED_REGRET_BOUND = regret_bound(0.0084)
 
 
 def noiseless_cost(params: dict, ln_k: float) -> float:

@@ -456,7 +456,7 @@ class TestStoreAndPool:
             backend = synthetic_backend(f"clip{i}")
             optimize_clip(f"clip{i}", config, pooled(backend) if i % 2 else backend)
         records = RunLedger.load(tmp_path / "ledger.jsonl")
-        assert len(records) == 20 * (1 + 3) * 5  # the reference and 3 trials each
+        assert len(records) == 20 * (1 + 4) * 5  # the reference and 4 trials each
         assert sum(lines_read) == 0
 
     def test_new_cache_dir_releases_old_store(self, tmp_path):
@@ -482,7 +482,7 @@ class TestStoreAndPool:
         opened = opened_pools
         config = av1_config(cache_dir=tmp_path)
         result = optimize_clip("clip", config, pooled(synthetic_backend()))
-        assert result.iterations == 3
+        assert result.iterations == 4
         assert len(opened) == 1 + result.iterations
         assert all(p._max_workers == config.workers and p._shutdown for p in opened)
 
@@ -1153,13 +1153,14 @@ class TestOptimizeClip:
         assert backend.invocations == result.total_invocations + 5  # + reference sweep
 
     def test_default_model_probe_count(self, tmp_path):
-        # The bracket k = 1, 2, 6.14, then one parabolic step to 3.35: Brent
-        # stops at the next one, which predicts less than ftol (0.05 BD-Rate
-        # points) of gain, before the interval reaches xtol*(|ln k| + 1/2).
+        # The bracket walks the octaves k = 1, 2, 4, 8, then one parabolic
+        # step goes to 3.28: Brent stops at the next one, which predicts less
+        # than ftol (0.05 BD-Rate points) of gain, before the interval
+        # reaches xtol*(|ln k| + 1/2).
         result = optimize_clip("clip", av1_config(cache_dir=tmp_path), synthetic_backend())
         assert result.stop_reason == "converged"
-        assert result.iterations == 3
-        assert result.total_invocations == 15
+        assert result.iterations == 4
+        assert result.total_invocations == 20
 
     def test_control_probe_count(self, tmp_path):
         # A clip with nothing to gain stops at Brent's first parabolic step,
@@ -1234,17 +1235,16 @@ class TestOptimizeClip:
 
     def test_failed_first_probe_falls_back_above_one(self, tmp_path):
         # The k = 2 probe's encode at qp 49 fails, and so does its retry: a
-        # new bracket from k = 1 first probes 2^(1/2), and the search still
-        # finds the default model's optimum.
+        # new bracket from k = 1 first probes 2^(1/2), which gains.  Its next
+        # step is k = 2 again, which re-raises the first failure without a
+        # sweep and ends the search.
         backend = FailingKs(SyntheticClipModel(), lambda k: abs(k - 2.0) < 1e-9)
         result = optimize_clip("clip", av1_config(cache_dir=tmp_path), backend)
-        ks = [t.k for t in result.trials]
-        assert ks[:2] == [1.0, pytest.approx(2 ** 0.5, rel=1e-12)]
-        assert ks.count(1.0) == 1 and all(abs(k - 2.0) > 1e-9 for k in ks)
-        assert result.improved and result.stop_reason == "converged"
-        assert abs(result.k_hat - oracles.GRID_ARGMIN_K) <= 0.15
-        # The failed k = 2 probe's 5 encodes and its retry are counted.
-        assert result.total_invocations == 5 * result.iterations + 5 + 1
+        assert [t.k for t in result.trials] == [1.0, pytest.approx(2 ** 0.5, rel=1e-12)]
+        assert result.improved and result.stop_reason == "failed_probe"
+        assert result.k_hat == result.trials[1].k
+        # The failed k = 2 probe's 5 encodes and its retry are counted once.
+        assert result.total_invocations == 5 + 5 + 1
         assert backend.invocations == 5 + result.total_invocations
 
     def test_k_star_below_one_reaches_the_last_fallback(self, tmp_path):
@@ -1283,10 +1283,11 @@ class TestOptimizeClip:
     @pytest.mark.parametrize(
         "model, k_hat, bd, stop_reason",
         [
-            # The k=1/16 probe underflows the quality model while bracketing.
-            (SyntheticClipModel(c=4.0, k_star=0.4), None, -38.15, "failed_probe"),
+            # The k=1/8 probe's curve shares no quality interval with the
+            # reference while bracketing.
+            (SyntheticClipModel(c=2.0, k_star=0.1), 0.25, -88.36, "failed_probe"),
             # Still descending at the k=16 bound: no bracket.
-            (SyntheticClipModel(c=0.8, k_star=10.0), 16.0, -81.81, "no_bracket"),
+            (SyntheticClipModel(c=0.8, k_star=16.0), 16.0, -90.69, "no_bracket"),
         ],
     )
     def test_search_cut_short_keeps_best_evaluated_trial(
@@ -1305,8 +1306,8 @@ class TestOptimizeClip:
         [
             ({}, "converged"),
             ({"gamma": 0.01, "k_star": 1.0}, "converged"),
-            ({"c": 4.0, "k_star": 0.4}, "failed_probe"),
-            ({"c": 0.8, "k_star": 10.0}, "no_bracket"),
+            ({"c": 2.0, "k_star": 0.1}, "failed_probe"),
+            ({"c": 0.8, "k_star": 16.0}, "no_bracket"),
             # k = 2 underflows; the fallback brackets from 2^(1/2), then
             # 2^(1/4), reuse the k=1 trial.
             ({"c": 8.0, "k_star": 0.4}, "converged"),
@@ -1345,16 +1346,16 @@ class TestOptimizeClip:
     def test_failed_bd_rate_counts_its_encodes(self, tmp_path):
         # The k=2 probe's sweep succeeds, but its curve shares no quality
         # interval with the reference, so its BD-Rate raises OverlapError.
-        # The 2^(1/2) fallback gains, and its bracket's next probe (k 2.48)
-        # fails the same way, which ends the search.  Both failed probes'
-        # 5 encodes are counted.
+        # The 2^(1/2) fallback gains, and its bracket's next probe is k = 2
+        # again, which re-raises that error and ends the search.  The failed
+        # probe's 5 encodes are counted once.
         backend = synthetic_backend(c=4.0, k_star=10.0)
         result = optimize_clip("clip", av1_config(cache_dir=tmp_path), backend)
         assert result.stop_reason == "failed_probe"
         assert [t.k for t in result.trials] == [1.0, pytest.approx(2 ** 0.5, rel=1e-12)]
         assert result.improved
-        assert result.total_invocations == 5 + 2 * 5
-        assert backend.invocations == 5 + 5 + 2 * 5
+        assert result.total_invocations == 5 + 5
+        assert backend.invocations == 5 + 5 + 5
         assert all(r["status"] == "ok" for r in RunLedger.load(tmp_path / "ledger.jsonl"))
 
     def test_stop_reason_max_iters(self, tmp_path, monkeypatch):
